@@ -6,8 +6,8 @@ Winograd S/T additions into the operand gather and skips converting one
 quadrant per operand, cutting the per-operand conversion volume by 25%.
 This benchmark measures the *traced* conversion fraction — the sum of
 ``convert`` event seconds over the run's wall-clock — of a steady-state
-multiply with fusion on (the default at these depths) and off, plus the
-separately-attributed ``pack`` seconds.
+multiply with fusion on (``fused_pack=True``; it is opt-in) and off, plus
+the separately-attributed ``pack`` seconds.
 
 Emits ``BENCH_convert.json`` at the repo root; hard guards live in
 ``validate_bench_convert.py`` (run by ``make bench-smoke`` and CI).
@@ -55,7 +55,7 @@ def report():
 
 def _traced_best(session, fn, rounds=ROUNDS):
     """Best-wall steady-state round: (wall, convert_s, pack_s, packs)."""
-    fn()  # warm-up: plan compile, pooled buffers, calibration baseline
+    fn()  # warm-up: plan compile, pooled buffers
     best = None
     for _ in range(rounds):
         session.trace.clear()
@@ -80,9 +80,9 @@ def _traced_best(session, fn, rounds=ROUNDS):
 def test_convert_fraction_grid(square_operands, report, n):
     a, b = square_operands(n)
 
-    # Fused by default at these depths; fused_pack=False is the two-pass
+    # fused_pack=True is the fused leg; fused_pack=False is the two-pass
     # control.
-    with GemmSession(trace_capacity=TRACE_CAPACITY) as s:
+    with GemmSession(fused_pack=True, trace_capacity=TRACE_CAPACITY) as s:
         assert s.plan(n, n, n)._fused
         c_fused = s.multiply(a, b)
         wall_f, conv_f, pack_f, n_packs = _traced_best(
@@ -135,7 +135,7 @@ def test_convert_fraction_numba_leg(square_operands, report):
     # numba kernel, recorded (not guarded) for cross-backend comparison.
     n = SIZES[0]
     a, b = square_operands(n)
-    with GemmSession(kernel="numba",
+    with GemmSession(kernel="numba", fused_pack=True,
                      trace_capacity=TRACE_CAPACITY) as s:
         wall_f, conv_f, pack_f, _ = _traced_best(
             s, lambda: s.multiply(a, b)

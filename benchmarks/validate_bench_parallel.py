@@ -18,6 +18,8 @@ from pathlib import Path
 DEFAULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
 
 GEMM_MODES = ("sequential", "legacy_7way", "tasks_d1", "tasks_d2")
+#: Most plain same-shape copies one conversion direction may cost.
+CONVERT_COPY_RATIO = 3.0
 
 
 def _check(cond: bool, message: str, problems: list) -> bool:
@@ -108,35 +110,34 @@ def validate(data, problems: list) -> None:
             if not _check(isinstance(row, dict), f"{where} must be an object",
                           problems):
                 continue
-            for field in ("n", "tile", "depth"):
+            for field in ("n", "tile", "depth", "boxes"):
                 _check(
                     isinstance(row.get(field), int) and row[field] >= 1,
                     f"{where}.{field} must be a positive int", problems,
                 )
             _check(
-                _number(row.get("table_build_seconds"))
-                and row["table_build_seconds"] >= 0,
-                f"{where}.table_build_seconds must be a number", problems,
+                _number(row.get("copyto_seconds"))
+                and row["copyto_seconds"] > 0,
+                f"{where}.copyto_seconds must be a positive number", problems,
             )
             for section in ("to_morton", "to_dense"):
                 sec = row.get(section)
                 if not _check(isinstance(sec, dict),
                               f"{where}.{section} must be an object", problems):
                     continue
-                for field in ("loop_seconds", "indexed_seconds", "speedup"):
+                for field in ("box_seconds", "copy_ratio"):
                     _check(
                         _number(sec.get(field)) and sec[field] > 0,
                         f"{where}.{section}.{field} must be a positive number",
                         problems,
                     )
-            if isinstance(row.get("to_morton"), dict) and _number(
-                row["to_morton"].get("speedup")
-            ):
-                _check(
-                    row["to_morton"]["speedup"] > 1.0,
-                    f"{where}.to_morton.speedup must exceed 1.0 (indexed "
-                    "conversion must win at depth >= 4)", problems,
-                )
+                if _number(sec.get("copy_ratio")):
+                    _check(
+                        sec["copy_ratio"] <= CONVERT_COPY_RATIO,
+                        f"{where}.{section}.copy_ratio must be at most "
+                        f"{CONVERT_COPY_RATIO} (a conversion costs at most "
+                        "that many plain copies)", problems,
+                    )
 
 
 def main(argv: list) -> int:

@@ -12,11 +12,8 @@ recompute per call for a fixed problem geometry:
 * the per-level :class:`Workspace` (sequential schedule) or the
   :class:`TaskScratch` plus prebuilt task graph (``tasks`` schedule, see
   :mod:`repro.core.scheduler`) shared across executions;
-* for deep tilings, per-operand :class:`ConversionTable` index tables
-  that turn layout conversion into vectorised gather/scatter copies.  The
-  plan *calibrates* each conversion site: execution 1 times the tile
-  loop, execution 2 times the indexed path, and the winner serves every
-  later execution (a losing table is freed immediately);
+* the geometry's cached :class:`ConversionTable` per operand — the
+  strided box copies that convert it to and from Morton order;
 * the resolved leaf kernel and recursion variant.
 
 ``plan.execute(a, b, ...)`` then runs the full BLAS contract against the
@@ -54,8 +51,6 @@ from ..core.winograd import (
 from ..core.workspace import BatchWorkspace, Workspace
 from ..errors import BatchItemError, InvariantError, KernelError, PlanError, ShapeError
 from ..layout.convert import (
-    ConversionTable,
-    calibration_key,
     conversion_table,
     dense_to_morton,
     dense_to_morton_batch,
@@ -95,15 +90,6 @@ def batch_size_class(n_items: int) -> int:
 
 #: Canonical recursion-variant names and their multiply entry points.
 VARIANTS = {"winograd": winograd_multiply, "strassen": strassen_multiply}
-
-#: Shallowest tiling depth worth a conversion index table: below this the
-#: tile loop's per-tile Python overhead is already negligible.
-CONVERT_TABLE_MIN_DEPTH = 3
-
-#: Largest logical element count to build a table for (int64 offsets, two
-#: ravellings -> 16 bytes/element of pooled index memory).
-CONVERT_TABLE_MAX_ELEMS = 1 << 21
-
 
 def resolve_variant(variant) -> str:
     """Normalise a recursion-variant argument to its canonical name.
@@ -196,69 +182,12 @@ class PlanKey:
         return self.spec.np_dtype
 
 
-class _ConvertSite:
-    """Adaptive loop-vs-indexed choice for one conversion site of a plan.
-
-    State machine: execution 1 runs the tile loop and records the
-    baseline; execution 2 runs the indexed path; the faster one then
-    serves every later execution.  ``observe`` returns the seconds saved
-    relative to the baseline whenever the indexed path ran (negative if
-    a run regressed — the counters stay honest).
-
-    A site can also be *preseeded* from a plan store: constructing it
-    with ``mode="indexed"`` replays a persisted decision with no trial
-    executions at all, and ``on_decide`` (when a live calibration does
-    run) reports the final verdict so the store can persist it for the
-    next plan/session with this geometry.
-    """
-
-    __slots__ = ("table", "baseline", "mode", "on_decide")
-
-    def __init__(
-        self,
-        table: ConversionTable,
-        mode: str = "baseline",
-        baseline: float = 0.0,
-        on_decide=None,
-    ) -> None:
-        self.table = table
-        self.baseline = baseline
-        self.mode = mode  # "baseline" -> "trial" -> "indexed" | "loop"
-        self.on_decide = on_decide
-
-    def pick(self) -> ConversionTable | None:
-        """Table to use for this execution (``None`` = tile loop)."""
-        return self.table if self.mode in ("trial", "indexed") else None
-
-    def observe(self, elapsed: float) -> float:
-        """Fold in this execution's conversion time; return seconds saved."""
-        if self.mode == "baseline":
-            self.baseline = elapsed
-            self.mode = "trial"
-            return 0.0
-        if self.mode == "trial":
-            if elapsed <= self.baseline:
-                self.mode = "indexed"
-                saved = self.baseline - elapsed
-            else:
-                self.mode = "loop"
-                self.table = None  # free the losing table
-                saved = 0.0
-            if self.on_decide is not None:
-                self.on_decide(self.mode, self.baseline)
-            return saved
-        if self.mode == "indexed":
-            return self.baseline - elapsed
-        return 0.0
-
-
 class _ExecExtras:
     """Per-execution scheduler/conversion counters, folded into the session."""
 
     __slots__ = (
         "tasks_run", "worker_busy", "graph_wall", "pool_workers",
-        "indexed_conversions", "convert_seconds_saved", "fused_adds",
-        "fused_packs",
+        "fused_adds", "fused_packs",
     )
 
     def __init__(self) -> None:
@@ -266,8 +195,6 @@ class _ExecExtras:
         self.worker_busy = 0.0
         self.graph_wall = 0.0
         self.pool_workers = 0
-        self.indexed_conversions = 0
-        self.convert_seconds_saved = 0.0
         self.fused_adds = 0
         self.fused_packs = 0
 
@@ -304,9 +231,8 @@ class CompiledPlan:
         self._tscratch: TaskScratch | None = None
         self._graph: TaskGraph | None = None
         self._rezero_operands = False
-        self._sites: dict[str, _ConvertSite] = {}
+        self._tables: dict = {}
         self._fused = False
-        self._ftables: dict[str, ConversionTable] = {}
         self._fdsts: dict[str, np.ndarray] = {}
         self._pend = None
         self._panels = None
@@ -365,30 +291,30 @@ class CompiledPlan:
         )
         depth = tm.depth
         sched = key.schedule
-        # Fused convert-and-add packing: the top level's S1/S3/T1/T3 sums
-        # are produced *during* the dense->Morton gather (one read of each
-        # source quadrant yields both the converted quadrant and the
-        # packed sum), so the recursion skips its four standalone
-        # top-level add passes and one quadrant copy per operand.
-        # Requires the plain Morton permutation (no relabeled transposes
-        # — dense-side transposes fold into the gather as usual) and an
-        # index table per operand.  The gather is elementwise, so fusion
-        # only pays where the table already beats the tile loop — the
-        # same CONVERT_TABLE_MIN_DEPTH regime as the adaptive sites (at
-        # shallow depth the loop's few large contiguous tile copies win
-        # by a wide margin); ``fused_pack="always"`` overrides the depth
-        # threshold for any depth >= 1 (tests, A/B measurement).
-        fmode = getattr(self.session, "fused_pack", True)
+        # One cached conversion geometry per operand: the strided box
+        # copies every conversion of this plan runs through.
+        self._tables = {
+            name: conversion_table(
+                mm.rows, mm.cols, mm.tile_r, mm.tile_c, mm.depth
+            )
+            for name, mm in (("a", self._a_mm), ("b", self._b_mm),
+                             ("c", self._c_mm))
+        }
+        # Fused convert-and-add packing (opt-in, ``fused_pack=True``): the
+        # top level's S1/S3/T1/T3 sums are produced *during* the
+        # dense->Morton copy (one read of each source quadrant yields both
+        # the converted quadrant and the packed sum), so the recursion
+        # skips its four standalone top-level add passes and one quadrant
+        # copy per operand.  Requires the plain Morton permutation (no
+        # relabeled transposes — dense-side transposes fold into the
+        # copy as usual).
         self._fused = (
-            bool(fmode)
+            bool(getattr(self.session, "fused_pack", False))
             and key.variant == "winograd"
-            and depth >= (1 if fmode == "always" else CONVERT_TABLE_MIN_DEPTH)
+            and depth >= 1
             and not self._relabel_a
             and not self._relabel_b
-            and self._a_mm.rows * self._a_mm.cols <= CONVERT_TABLE_MAX_ELEMS
-            and self._b_mm.rows * self._b_mm.cols <= CONVERT_TABLE_MAX_ELEMS
         )
-        self._ftables: dict[str, ConversionTable] = {}
         self._fdsts: dict[str, np.ndarray] = {}
         self._pend = None  # (a, trans_a, b, trans_b) of the running execute
         if sched.parallel and depth >= 1:
@@ -418,57 +344,7 @@ class CompiledPlan:
             self.buffers_allocated += 4 * depth
         # ip_overwrite: no workspace at all.
         if self._fused:
-            # Fused conversion always gathers through a table (the shared
-            # module-level cache — several plans of one geometry reuse
-            # it), so the a/b sites skip loop-vs-indexed calibration.
-            for name, mm in (("a", self._a_mm), ("b", self._b_mm)):
-                self._ftables[name] = conversion_table(
-                    mm.rows, mm.cols, mm.tile_r, mm.tile_c, mm.depth
-                )
             self._fdsts = self._pack_destinations(memory)
-        if depth >= CONVERT_TABLE_MIN_DEPTH:
-            # A plan store, when the session has one, replays persisted
-            # loop-vs-indexed verdicts: a "loop" record skips building the
-            # O(n^2) table entirely, an "indexed" record preseeds the site
-            # past both trial executions, and an unseen geometry gets an
-            # ``on_decide`` hook that writes the live verdict back.  This
-            # is what makes the calibration survive plan eviction — the
-            # store, not the evicted plan object, owns the answer.
-            store = getattr(self.session, "_plan_store", None)
-            for name, mm in (("a", self._a_mm), ("b", self._b_mm),
-                             ("c", self._c_mm)):
-                if name in self._ftables:
-                    continue
-                if mm.rows * mm.cols > CONVERT_TABLE_MAX_ELEMS:
-                    continue
-                site_key = calibration_key(
-                    mm.rows, mm.cols, mm.tile_r, mm.tile_c, mm.depth,
-                    dtype=key.dtype,
-                )
-                cal = (
-                    store.lookup_calibration(site_key)
-                    if store is not None else None
-                )
-                if cal is not None and cal["mode"] == "loop":
-                    continue  # the loop path won; no table, no trials
-                table = ConversionTable(
-                    mm.rows, mm.cols, mm.tile_r, mm.tile_c, mm.depth
-                )
-                if cal is not None:  # mode == "indexed"
-                    self._sites[name] = _ConvertSite(
-                        table, mode="indexed",
-                        baseline=float(cal.get("baseline", 0.0)),
-                    )
-                elif store is not None:
-                    self._sites[name] = _ConvertSite(
-                        table,
-                        on_decide=(
-                            lambda mode, baseline, _sk=site_key:
-                            store.record_calibration(_sk, mode, baseline)
-                        ),
-                    )
-                else:
-                    self._sites[name] = _ConvertSite(table)
 
     def _pack_destinations(self, memory: str) -> dict[str, np.ndarray]:
         """Flat quarter buffers receiving the four top-level packed sums.
@@ -506,7 +382,7 @@ class CompiledPlan:
         extras: "_ExecExtras | None",
     ) -> None:
         """Convert one operand's consumed quadrants, then pack its sums."""
-        table = self._ftables[name]
+        table = self._tables[name]
         tr = self._ops.trace
         t0 = time.perf_counter()
         dense_to_morton_quadrants(
@@ -516,7 +392,7 @@ class CompiledPlan:
         if tr is not None and tr.enabled:
             tr.emit(
                 "convert", label=name, seconds=time.perf_counter() - t0,
-                indexed=True, fused=True,
+                fused=True,
             )
         for label, op, q0, q1 in packs:
             t0 = time.perf_counter()
@@ -683,29 +559,11 @@ class CompiledPlan:
             return c
         return result
 
-    def _convert_site(
-        self, name: str, extras: "_ExecExtras | None", run_loop, run_indexed
-    ) -> None:
-        """Run one conversion through the site's calibrated path choice."""
-        site = self._sites.get(name)
-        table = site.pick() if site is not None else None
-        t0 = time.perf_counter()
-        if table is None:
-            run_loop()
-        else:
-            run_indexed(table)
-        elapsed = time.perf_counter() - t0
+    def _emit_convert(self, name: str, t0: float) -> None:
+        """Trace one conversion that started at ``t0``."""
         tr = self._ops.trace
         if tr is not None and tr.enabled:
-            tr.emit(
-                "convert", label=name, seconds=elapsed,
-                indexed=table is not None,
-            )
-        if site is not None:
-            saved = site.observe(elapsed)
-            if table is not None and extras is not None:
-                extras.indexed_conversions += 1
-                extras.convert_seconds_saved += saved
+            tr.emit("convert", label=name, seconds=time.perf_counter() - t0)
 
     def _well_behaved_product(
         self, a, b, transpose_a: bool, transpose_b: bool, rec: PhaseTimings,
@@ -728,10 +586,9 @@ class CompiledPlan:
             if self._debug:
                 self._debug_pre()
             fused0 = self._ops.fused_adds
-            pool = workers = None
+            pool = None
             if self._graph is not None:
                 pool = self.session._ensure_pool()
-                workers = pool.workers
             if self._rezero_operands:
                 # A previous ip_overwrite execution left garbage in the
                 # operand pads; the zero_pad=False conversion below only
@@ -765,26 +622,14 @@ class CompiledPlan:
                     conv_trans_b, extras,
                 )
             else:
-                self._convert_site(
-                    "a", extras,
-                    lambda: dense_to_morton(
-                        a, self._a_mm, transpose=conv_trans_a, zero_pad=False
-                    ),
-                    lambda tab: dense_to_morton(
-                        a, self._a_mm, transpose=conv_trans_a, zero_pad=False,
-                        table=tab, pool=pool, workers=workers or 1,
-                    ),
-                )
-                self._convert_site(
-                    "b", extras,
-                    lambda: dense_to_morton(
-                        b, self._b_mm, transpose=conv_trans_b, zero_pad=False
-                    ),
-                    lambda tab: dense_to_morton(
-                        b, self._b_mm, transpose=conv_trans_b, zero_pad=False,
-                        table=tab, pool=pool, workers=workers or 1,
-                    ),
-                )
+                for name, src, mm, trans in (
+                    ("a", a, self._a_mm, conv_trans_a),
+                    ("b", b, self._b_mm, conv_trans_b),
+                ):
+                    tc = time.perf_counter()
+                    dense_to_morton(src, mm, transpose=trans, zero_pad=False,
+                                    table=self._tables[name])
+                    self._emit_convert(name, tc)
             t1 = time.perf_counter()
             if self._debug and not self._fused:
                 # Phase boundary: operands are converted, compute has not
@@ -822,18 +667,9 @@ class CompiledPlan:
                 )
             t2 = time.perf_counter()
             beta = key.beta if c_out is not None else 0.0
-            out: list = []
-            self._convert_site(
-                "c", extras,
-                lambda: out.append(morton_to_dense(
-                    self._c_mm, out=c_out, beta=beta
-                )),
-                lambda tab: out.append(morton_to_dense(
-                    self._c_mm, out=c_out, beta=beta,
-                    table=tab, pool=pool, workers=workers or 1,
-                )),
-            )
-            d = out[0]
+            d = morton_to_dense(self._c_mm, out=c_out, beta=beta,
+                                table=self._tables["c"])
+            self._emit_convert("c", t2)
             if beta != 0.0 and tr is not None and tr.enabled:
                 tr.emit("accumulate", label="c", beta=float(beta))
             t3 = time.perf_counter()
@@ -913,10 +749,10 @@ class CompiledPlan:
     def scratch_bytes(self) -> int:
         """Recursion scratch bytes this plan holds (workspace/task scratch).
 
-        Excludes the Morton operand/product buffers and conversion tables
-        — this is exactly the *extra* memory the selected ``memory``
-        schedule is accountable for: the geometric series over recursion
-        levels (classic ``|A|/4 + |B|/4 + 2|C|/4`` per level, two_temp
+        Excludes the Morton operand/product buffers — this is exactly the
+        *extra* memory the selected ``memory`` schedule is accountable
+        for: the geometric series over recursion levels (classic
+        ``|A|/4 + |B|/4 + 2|C|/4`` per level, two_temp
         ``max(|A|,|C|)/4 + |B|/4``, ip_overwrite zero), or the task-DAG
         expansion tree plus leaf workspace pool for parallel plans.
         Panelled plans report the sum over their distinct sub-plans.
@@ -944,7 +780,7 @@ class CompiledPlan:
 
     @property
     def pooled_bytes(self) -> int:
-        """Bytes held by this plan's pooled buffers, scratch and tables."""
+        """Bytes held by this plan's pooled buffers and scratch."""
         total = 0
         for mm in (self._a_mm, self._b_mm, self._c_mm):
             if mm is not None:
@@ -953,9 +789,6 @@ class CompiledPlan:
             total += self._workspace.total_bytes
         if self._tscratch is not None:
             total += self._tscratch.total_bytes
-        for site in self._sites.values():
-            if site.table is not None:
-                total += site.table.nbytes
         return total
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -989,11 +822,9 @@ class BatchPlan:
     instead of expanding one item's recursion into a task DAG — many small
     problems parallelise better across items than within one.
 
-    Conversion reuses one shared :class:`ConversionTable` per side,
-    broadcast over the batch: each item is a single vectorised
-    gather/scatter.  The first execution times a tile-loop conversion of
-    item 0 per site as the baseline that ``batch_convert_seconds_saved``
-    is measured against.
+    Conversion reuses one shared :class:`ConversionTable` per side: each
+    item is copied in through the geometry's strided boxes, and the
+    products come out with one box copy for the whole stack.
 
     Cached in the session's LRU alongside :class:`CompiledPlan`, keyed by
     ``(PlanKey, cap)``; eviction releases the stacks.  Requires a
@@ -1067,33 +898,21 @@ class BatchPlan:
         )
         per_level = 2 if memory == "two_temp" else 4
         self.buffers_allocated += per_level * tm.depth
-        # One shared table per side, broadcast over the batch axis.  The
-        # per-item engine calibrates loop-vs-table per plan; here the
-        # B-fold Python-overhead amortisation makes the table the static
-        # winner whenever the recursion has any depth at all.
-        self._tables: dict[str, ConversionTable] = {}
-        if tm.depth >= 1:
-            for name, mm in (("a", self._a), ("b", self._b), ("c", self._c)):
-                if mm.rows * mm.cols <= CONVERT_TABLE_MAX_ELEMS:
-                    self._tables[name] = conversion_table(
-                        mm.rows, mm.cols, mm.tile_r, mm.tile_c, mm.depth
-                    )
-        self._baseline: dict[str, float] = {}
-        # Fused convert-and-add packing over the batch axis: each row's
-        # top-level S1/S3/T1/T3 sums are scattered during its
-        # dense->Morton gather.  Unlike the per-item path there is no
-        # depth threshold: the batched path already commits statically
-        # to table gathers whenever the recursion has depth (the B-fold
-        # amortisation), so packing three gathered quadrants plus sums
-        # strictly beats gathering four and adding separately.
+        self._tables = {
+            name: conversion_table(
+                mm.rows, mm.cols, mm.tile_r, mm.tile_c, mm.depth
+            )
+            for name, mm in (("a", self._a), ("b", self._b), ("c", self._c))
+        }
+        # Fused convert-and-add packing over the batch axis (opt-in): each
+        # row's top-level S1/S3/T1/T3 sums are written during its
+        # dense->Morton copy.
         self._fused = (
-            bool(getattr(session, "fused_pack", True))
+            bool(getattr(session, "fused_pack", False))
             and key.variant == "winograd"
             and tm.depth >= 1
             and not self._relabel_a
             and not self._relabel_b
-            and "a" in self._tables
-            and "b" in self._tables
         )
         self._fdsts: dict[str, np.ndarray] = {}
         if self._fused:
@@ -1117,40 +936,6 @@ class BatchPlan:
 
     # ------------------------------------------------------------- execute
 
-    def _convert_in(
-        self, name: str, arrs, out: BatchMortonMatrix, transpose: bool,
-        pool, workers: int,
-    ) -> float:
-        """Fill ``out[:len(arrs)]``; return conversion seconds saved."""
-        table = self._tables.get(name)
-        if table is None:
-            dense_to_morton_batch(
-                arrs, out, transpose=transpose, pool=pool, workers=workers
-            )
-            return 0.0
-        base = self._baseline.get(name)
-        if base is None:
-            # Calibrate: item 0 through the tile loop (timed baseline),
-            # the rest through the shared table.
-            t0 = time.perf_counter()
-            dense_to_morton(
-                arrs[0], out.item(0), transpose=transpose, zero_pad=False
-            )
-            base = self._baseline[name] = time.perf_counter() - t0
-            t1 = time.perf_counter()
-            for i in range(1, len(arrs)):
-                dense_to_morton(
-                    arrs[i], out.item(i), transpose=transpose,
-                    zero_pad=False, table=table,
-                )
-            return base * (len(arrs) - 1) - (time.perf_counter() - t1)
-        t0 = time.perf_counter()
-        dense_to_morton_batch(
-            arrs, out, transpose=transpose, table=table,
-            pool=pool, workers=workers,
-        )
-        return base * len(arrs) - (time.perf_counter() - t0)
-
     def _fused_convert_in(
         self, name: str, arrs, out: BatchMortonMatrix, transpose: bool,
         quads, packs,
@@ -1168,8 +953,7 @@ class BatchPlan:
         if tr is not None and tr.enabled:
             tr.emit(
                 "convert", label=f"batch-{name}",
-                seconds=time.perf_counter() - t0, items=n,
-                indexed=True, fused=True,
+                seconds=time.perf_counter() - t0, items=n, fused=True,
             )
         for label, op, q0, q1 in packs:
             t0 = time.perf_counter()
@@ -1182,31 +966,6 @@ class BatchPlan:
                     "pack", label=f"batch-{label}",
                     seconds=time.perf_counter() - t0, items=n,
                 )
-
-    def _convert_out(self, n_items: int, pool, workers: int):
-        """Gather the first ``n_items`` products back to dense arrays."""
-        table = self._tables.get("c")
-        if table is None:
-            return morton_to_dense_batch(
-                self._c, n_items, pool=pool, workers=workers
-            ), 0.0
-        base = self._baseline.get("c")
-        if base is None:
-            t0 = time.perf_counter()
-            first = morton_to_dense(self._c.item(0))
-            base = self._baseline["c"] = time.perf_counter() - t0
-            t1 = time.perf_counter()
-            rest = [
-                morton_to_dense(self._c.item(i), table=table)
-                for i in range(1, n_items)
-            ]
-            saved = base * (n_items - 1) - (time.perf_counter() - t1)
-            return [first, *rest], saved
-        t0 = time.perf_counter()
-        outs = morton_to_dense_batch(
-            self._c, n_items, table=table, pool=pool, workers=workers
-        )
-        return outs, base * n_items - (time.perf_counter() - t0)
 
     def _run_stripe(self, lo: int, hi: int) -> None:
         views = self._stripes.get((lo, hi))
@@ -1309,7 +1068,6 @@ class BatchPlan:
                     tr.emit("relabel", label="batch-b", items=n_items)
             t0 = time.perf_counter()
             if self._fused:
-                saved = 0.0
                 self._fused_convert_in(
                     "a", [p.a for p in problems], self._a, transpose_a,
                     CONVERT_QUADS_A, FUSED_PACKS_A,
@@ -1319,13 +1077,13 @@ class BatchPlan:
                     CONVERT_QUADS_B, FUSED_PACKS_B,
                 )
             else:
-                saved = self._convert_in(
-                    "a", [p.a for p in problems], self._a, transpose_a,
-                    pool, workers,
+                dense_to_morton_batch(
+                    [p.a for p in problems], self._a, transpose=transpose_a,
+                    table=self._tables["a"],
                 )
-                saved += self._convert_in(
-                    "b", [p.b for p in problems], self._b, transpose_b,
-                    pool, workers,
+                dense_to_morton_batch(
+                    [p.b for p in problems], self._b, transpose=transpose_b,
+                    table=self._tables["b"],
                 )
             t1 = time.perf_counter()
             if not self._fused and tr is not None and tr.enabled:
@@ -1333,7 +1091,7 @@ class BatchPlan:
                 # (gather-only seconds, pack passes reported separately).
                 tr.emit(
                     "convert", label="batch-in", seconds=t1 - t0,
-                    items=n_items, indexed=bool(self._tables),
+                    items=n_items,
                 )
             if self._debug and not self._fused:
                 # Phase boundary: every occupied stack row's pad must be
@@ -1350,11 +1108,12 @@ class BatchPlan:
             )
             t2 = time.perf_counter()
             if key.beta == 0.0:
-                # Bulk gather to fresh dense arrays; per-item beta (a
+                # Bulk copy to fresh dense arrays; per-item beta (a
                 # directly-invoked batch may carry one) is applied in the
                 # post-lock epilogue below.
-                outs, saved_c = self._convert_out(n_items, pool, workers)
-                saved += saved_c
+                outs = morton_to_dense_batch(
+                    self._c, n_items, table=self._tables["c"]
+                )
                 results = first_err = None
             else:
                 # The spec's accumulate: each item's product is folded
@@ -1368,7 +1127,7 @@ class BatchPlan:
             if tr is not None and tr.enabled:
                 tr.emit(
                     "convert", label="batch-out", seconds=t3 - t2,
-                    items=n_items, indexed="c" in self._tables,
+                    items=n_items,
                 )
                 if key.beta != 0.0:
                     tr.emit(
@@ -1387,7 +1146,7 @@ class BatchPlan:
             timings.compute += rec.compute
             timings.from_morton += rec.from_morton
         self.session._record_batch_execution(
-            self, n_items, rec, saved, fused_delta,
+            self, n_items, rec, fused_delta,
             fused_packs=4 * n_items if self._fused else 0,
         )
         if results is None:
@@ -1430,7 +1189,7 @@ class BatchPlan:
         convert, keeping the pooled stacks quiescent.
         """
         key = self.key
-        table = self._tables.get("c")
+        table = self._tables["c"]
         results = []
         first_err: BatchItemError | None = None
         for i, p in enumerate(problems):
@@ -1472,12 +1231,7 @@ class BatchPlan:
 
     @property
     def pooled_bytes(self) -> int:
-        """Bytes held by the stacked operand/product buffers and scratch.
-
-        Conversion tables are excluded: they live in the module-level
-        shared cache (:func:`repro.layout.convert.conversion_table`) and
-        may serve several plans at once.
-        """
+        """Bytes held by the stacked operand/product buffers and scratch."""
         return (
             self._a.nbytes + self._b.nbytes + self._c.nbytes + self._ws.nbytes
         )

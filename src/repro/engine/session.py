@@ -86,10 +86,7 @@ class SessionStats:
     The scheduler adds ``parallel_executes`` (executions run on the task
     graph), ``tasks_run``, ``worker_busy_seconds`` (summed task execution
     time across workers) and ``worker_utilization`` (busy time over pool
-    capacity, in ``[0, 1]``).  The adaptive conversion calibration adds
-    ``indexed_conversions`` (conversions served by a precomputed index
-    table) and ``convert_seconds_saved`` (their summed time saved against
-    each site's measured tile-loop baseline).
+    capacity, in ``[0, 1]``).
 
     The memory-schedule accounting adds ``scratch_bytes_allocated``
     (cumulative recursion-scratch bytes allocated over the session's
@@ -103,9 +100,7 @@ class SessionStats:
     (items those batches contained — each also counts in ``executes``),
     ``batch_fallbacks`` (same-geometry groups of two or more items that
     had to fall back to the per-item thread pool — panelled geometry or
-    ``ip_overwrite``) and ``batch_convert_seconds_saved`` (layout
-    conversion time saved by table-driven batched gather/scatter against
-    each batch plan's measured per-item tile-loop baseline).
+    ``ip_overwrite``).
 
     The fused packing path adds ``fused_packs`` (quarter-matrix operand
     sums produced during a dense->Morton gather instead of by a
@@ -137,15 +132,12 @@ class SessionStats:
     tasks_run: int = 0
     worker_busy_seconds: float = 0.0
     worker_utilization: float = 0.0
-    indexed_conversions: int = 0
-    convert_seconds_saved: float = 0.0
     scratch_bytes_allocated: int = 0
     peak_scratch_bytes: int = 0
     fused_adds: int = 0
     batched_executes: int = 0
     batch_items: int = 0
     batch_fallbacks: int = 0
-    batch_convert_seconds_saved: float = 0.0
     fused_packs: int = 0
     convert_seconds: float = 0.0
     convert_fraction: float = 0.0
@@ -198,19 +190,15 @@ class GemmSession:
         to a non-debug session; expect a substantial slowdown.  Fixed at
         construction (plans bake the guards in at compile time).
     fused_pack:
-        ``True`` (default) lets Winograd plans fuse the top level's
-        S1/S3/T1/T3 operand sums into the dense->Morton gather — one
-        read of each source quadrant produces both the converted
-        quadrant and the packed sum, eliding four standalone add passes
-        and one quadrant copy per operand.  Per-item plans fuse where
-        the index-table gather is already the right conversion strategy
-        (``depth >= CONVERT_TABLE_MIN_DEPTH``; at shallower depths the
-        tile loop's large contiguous copies win and fusing would
-        regress); batch plans fuse whenever tables exist (``depth >=
-        1``).  ``"always"`` drops the per-item depth threshold to 1
-        (tests, A/B measurement); ``False`` disables fusion entirely.
-        Results are bit-identical in all modes.  Fixed at construction
-        (plans bake the fused layout in at compile time).
+        ``True`` lets Winograd plans of depth >= 1 fuse the top level's
+        S1/S3/T1/T3 operand sums into the dense->Morton copy — one read
+        of each source quadrant produces both the converted quadrant and
+        the packed sum, eliding four standalone add passes and one
+        quadrant copy per operand.  ``False`` (default) converts and adds
+        separately, which measured faster, or within noise, at every size
+        tried (see EXPERIMENTS.md).  Results are bit-identical either way.
+        Fixed at construction (plans bake the fused layout in at compile
+        time).
     accumulate_cap:
         When given, sets the leaf kernels' cached accumulate-scratch cap
         (:func:`repro.blas.set_accumulate_cap`) at construction.  The cap
@@ -227,9 +215,8 @@ class GemmSession:
         non-empty) names the store path — the explicit argument always
         wins over the environment.  With a store attached, plan-key
         resolution consults it before the heuristic defaults (an
-        explicit per-call ``policy=``/``schedule=``/... still wins),
-        conversion-site calibration verdicts are replayed from and
-        persisted to it, and :meth:`autotune` writes its winners back.
+        explicit per-call ``policy=``/``schedule=``/... still wins) and
+        :meth:`autotune` writes its winners back.
         ``close()`` flushes dirty store state to disk.
     """
 
@@ -246,7 +233,7 @@ class GemmSession:
         trace: bool = False,
         trace_capacity: int = 8192,
         debug: bool = False,
-        fused_pack: bool = True,
+        fused_pack: bool = False,
         accumulate_cap: int | None = None,
         plan_store: "PlanStore | str | os.PathLike | None" = UNSET,
     ) -> None:
@@ -257,11 +244,9 @@ class GemmSession:
         self.capacity = capacity
         self.trace = Tracer(capacity=trace_capacity, enabled=bool(trace))
         self.debug = bool(debug)
-        if fused_pack not in (True, False, "always"):
-            raise ValueError(
-                f"fused_pack must be True, False or 'always', "
-                f"got {fused_pack!r}"
-            )
+        if not isinstance(fused_pack, bool):
+            raise ValueError(f"fused_pack must be True or False, "
+                             f"got {fused_pack!r}")
         self.fused_pack = fused_pack
         if accumulate_cap is not None:
             set_accumulate_cap(accumulate_cap)
@@ -298,8 +283,6 @@ class GemmSession:
         self._tasks_run = 0
         self._worker_busy = 0.0
         self._worker_capacity = 0.0
-        self._indexed_conversions = 0
-        self._convert_saved = 0.0
         self._scratch_allocated = 0
         self._scratch_live = 0
         self._scratch_peak = 0
@@ -307,7 +290,6 @@ class GemmSession:
         self._batched_executes = 0
         self._batch_items = 0
         self._batch_fallbacks = 0
-        self._batch_convert_saved = 0.0
         self._fused_packs = 0
         self._store_hits = 0
         self._store_misses = 0
@@ -1088,14 +1070,12 @@ class GemmSession:
                     self._worker_capacity += (
                         extras.graph_wall * max(1, extras.pool_workers)
                     )
-                self._indexed_conversions += extras.indexed_conversions
-                self._convert_saved += extras.convert_seconds_saved
                 self._fused_adds += extras.fused_adds
                 self._fused_packs += extras.fused_packs
 
     def _record_batch_execution(
         self, plan: BatchPlan, n_items: int, rec: PhaseTimings,
-        saved: float, fused_adds: int, fused_packs: int = 0,
+        fused_adds: int, fused_packs: int = 0,
     ) -> None:
         """Fold one stacked-batch execution into the session counters."""
         tr = self.trace
@@ -1110,7 +1090,6 @@ class GemmSession:
             self._executes += n_items
             self._batched_executes += 1
             self._batch_items += n_items
-            self._batch_convert_saved += saved
             if plan._cache_hit:
                 self._buffers_reused += n_items
             self._timings.to_morton += rec.to_morton
@@ -1158,15 +1137,12 @@ class GemmSession:
                 tasks_run=self._tasks_run,
                 worker_busy_seconds=self._worker_busy,
                 worker_utilization=util,
-                indexed_conversions=self._indexed_conversions,
-                convert_seconds_saved=self._convert_saved,
                 scratch_bytes_allocated=self._scratch_allocated,
                 peak_scratch_bytes=self._scratch_peak,
                 fused_adds=self._fused_adds,
                 batched_executes=self._batched_executes,
                 batch_items=self._batch_items,
                 batch_fallbacks=self._batch_fallbacks,
-                batch_convert_seconds_saved=self._batch_convert_saved,
                 fused_packs=self._fused_packs,
                 convert_seconds=convert_seconds,
                 convert_fraction=convert_fraction,

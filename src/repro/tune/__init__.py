@@ -3,13 +3,12 @@
 The paper's tuning decisions (truncation point, layout, schedule) are
 per-call and ephemeral; this package makes them durable.
 :class:`PlanStore` is a versioned, corruption-tolerant, advisory-locked
-on-disk database of per-shape plan decisions and calibration artifacts;
+on-disk database of per-shape plan decisions and named artifacts;
 :func:`autotune` searches the plan space per shape (offline machine-model
 pruning via :mod:`repro.cachesim.rank`, then interleaved on-host timing)
 and writes the winners back.  A :class:`repro.engine.GemmSession` opened
 against a warm store replays every decision — truncation point, schedule,
-memory, kernel, conversion-path calibration, accumulate-scratch cap —
-with zero per-site calibration runs.
+memory, kernel — and the accumulate-scratch cap.
 
 Run ``python -m repro.tune --help`` for the command-line tuner.
 """

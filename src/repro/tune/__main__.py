@@ -72,8 +72,8 @@ def main(argv=None) -> int:
         help="fraction a challenger must beat the default by (default: 0.01)",
     )
     parser.add_argument(
-        "--no-fused-pack", action="store_true",
-        help="tune with fused convert-and-add packing disabled",
+        "--fused-pack", action="store_true",
+        help="tune with fused convert-and-add packing enabled",
     )
     args = parser.parse_args(argv)
 
@@ -82,7 +82,7 @@ def main(argv=None) -> int:
     store_path = args.store or os.environ.get(PLAN_STORE_ENV, "").strip()
     session = GemmSession(
         plan_store=store_path or None,
-        fused_pack=not args.no_fused_pack,
+        fused_pack=args.fused_pack,
     )
     kernels = (
         tuple(k.strip() for k in args.kernels.split(",") if k.strip())

@@ -21,9 +21,7 @@ query plans:
 4. **Persist** — the winner (which must beat the default's median by
    more than ``margin``, else the default wins — hysteresis keeps noisy
    ties on the safe side) is recorded in the plan store together with
-   the leaf kernels' current accumulate-scratch cap, and every
-   conversion-site calibration verdict observed during the trials rides
-   along automatically (the trial session shares the store).
+   the leaf kernels' current accumulate-scratch cap.
 
 By default the searched space is **bit-identity preserving**: schedule
 and memory variations produce bit-identical results by construction, and
@@ -237,9 +235,8 @@ def autotune(
     feasible ``(T, d)`` grid and ``kernels=`` adds leaf-kernel choices —
     both can change result bits; see the module docstring.
 
-    Trial executions run in a *scratch* session sharing the store (so
-    conversion-site calibrations persist) and the tracer (so
-    ``autotune_trial`` events land in the owner's timeline).
+    Trial executions run in a *scratch* session without a store; their
+    ``autotune_trial`` events land in the owner's timeline.
     """
     from ..engine.session import GemmSession
 
@@ -322,8 +319,7 @@ def autotune(
             ))
 
         # One scratch trial context: per-call policy always explicit, so
-        # nothing here consults the store — but site calibrations made
-        # during the trials are recorded through it.
+        # nothing here consults a store.
         a = np.asfortranarray(rng.standard_normal((m, k)), dtype=dtype)
         b = np.asfortranarray(rng.standard_normal((k, n)), dtype=dtype)
         medians: dict[str, float] = {}
@@ -332,7 +328,7 @@ def autotune(
             kernel=session.default_kernel,
             variant=variant,
             fused_pack=fused_pack,
-            plan_store=the_store,
+            plan_store=None,
         ) as trial:
             def run_once(c: Candidate) -> float:
                 t0 = time.perf_counter()
@@ -344,10 +340,8 @@ def autotune(
                 )
                 return time.perf_counter() - t0
 
-            # Warm-up: compile every plan and let the conversion-site
-            # calibration settle before any timed round.
+            # Warm-up: compile every plan before any timed round.
             for c in cands:
-                run_once(c)
                 run_once(c)
             samples: dict[str, list[float]] = {c.label: [] for c in cands}
             for rnd in range(rounds):

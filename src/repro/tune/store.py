@@ -5,10 +5,8 @@ same per-shape decisions — truncation point ``(T, d)``, execution
 schedule, memory schedule, leaf kernel — and throws them away at exit.
 A production system warms up *once*: this module serializes those
 decisions to a versioned on-disk JSON document shared across sessions and
-processes (the query-planner pattern), alongside the calibration
-artifacts the engine otherwise re-measures per plan site (the
-:class:`~repro.layout.convert.ConversionTable` loop-vs-indexed outcomes
-and the leaf kernels' accumulate-scratch cap).
+processes (the query-planner pattern), alongside named artifacts such as
+the leaf kernels' accumulate-scratch cap.
 
 Design constraints, in order:
 
@@ -33,17 +31,13 @@ The document schema (``version`` 1)::
       "schema": "repro.plan_store",
       "version": 1,
       "entries": {
-        "513x513x513:float64:winograd:fp=True": {
+        "513x513x513:float64:winograd:fp=False": {
           "tile_m": 33, "tile_k": 33, "tile_n": 33, "depth": 4,
           "schedule": "sequential", "memory": "two_temp",
           "kernel": "numpy",
           "modelled_seconds": 0.41, "measured_seconds": 0.052,
           "source": "autotune"
         }, ...
-      },
-      "calibrations": {
-        "513x513x513:t33x33:d4:float64": {"mode": "indexed",
-                                          "baseline": 0.0021}, ...
       },
       "artifacts": {"accumulate_cap": 1048576}
     }
@@ -54,9 +48,10 @@ session's ``fused_pack`` mode.  The stored decision supplies what the
 planner would otherwise choose heuristically: the per-dimension
 truncation tiles and depth (applied as a pinned
 :class:`~repro.core.truncation.TruncationPolicy`), the execution
-schedule, the memory schedule and the leaf kernel.  Calibration keys are
-:func:`repro.layout.convert.calibration_key` strings — pure conversion
-geometry, shared by every plan that converts that geometry.
+schedule, the memory schedule and the leaf kernel.  Documents written
+before the conversion calibrations were removed may still carry a
+``calibrations`` section; it is ignored on load and dropped by the next
+:meth:`PlanStore.flush`.
 """
 
 from __future__ import annotations
@@ -115,7 +110,7 @@ def shape_key(
     m: int, k: int, n: int,
     dtype: str = "float64",
     variant: str = "winograd",
-    fused_pack=True,
+    fused_pack=False,
 ) -> str:
     """The store key of one lookup context.
 
@@ -235,9 +230,9 @@ class PlanStore:
     nothing.  All methods are thread-safe; cross-*process* safety is the
     job of :meth:`flush` (advisory lock + atomic replace).  In-memory
     state is a cache over the file: :meth:`lookup` answers from memory,
-    :meth:`record`/:meth:`record_calibration`/:meth:`set_artifact` mark
-    entries dirty, and :meth:`flush` merges the dirty set over whatever
-    is on disk at that moment.
+    :meth:`record`/:meth:`set_artifact` mark entries dirty, and
+    :meth:`flush` merges the dirty set over whatever is on disk at that
+    moment.
     """
 
     def __init__(self, path: "str | os.PathLike[str]") -> None:
@@ -245,10 +240,8 @@ class PlanStore:
         self._lock = threading.RLock()
         self._loaded = False
         self._entries: dict[str, StoredDecision] = {}
-        self._calibrations: dict[str, dict] = {}
         self._artifacts: dict[str, object] = {}
         self._dirty_entries: set[str] = set()
-        self._dirty_calibrations: set[str] = set()
         self._dirty_artifacts: set[str] = set()
 
     # -------------------------------------------------------------- resolve
@@ -296,14 +289,6 @@ class PlanStore:
                 self._entries[key] = StoredDecision.from_doc(entry)
             except (KeyError, TypeError, ValueError):
                 continue
-        for key, cal in (doc.get("calibrations") or {}).items():
-            if not overwrite and key in self._calibrations:
-                continue
-            if isinstance(cal, dict) and cal.get("mode") in ("indexed", "loop"):
-                self._calibrations[key] = {
-                    "mode": cal["mode"],
-                    "baseline": float(cal.get("baseline", 0.0)),
-                }
         for key, value in (doc.get("artifacts") or {}).items():
             if not overwrite and key in self._artifacts:
                 continue
@@ -318,11 +303,7 @@ class PlanStore:
     def dirty(self) -> bool:
         """True when in-memory state has not been flushed to disk."""
         with self._lock:
-            return bool(
-                self._dirty_entries
-                or self._dirty_calibrations
-                or self._dirty_artifacts
-            )
+            return bool(self._dirty_entries or self._dirty_artifacts)
 
     # -------------------------------------------------------------- entries
 
@@ -330,7 +311,7 @@ class PlanStore:
         self, m: int, k: int, n: int,
         dtype: str = "float64",
         variant: str = "winograd",
-        fused_pack=True,
+        fused_pack=False,
     ) -> StoredDecision | None:
         """The stored decision for one lookup context, or ``None``."""
         self._ensure_loaded()
@@ -344,7 +325,7 @@ class PlanStore:
         decision: StoredDecision,
         dtype: str = "float64",
         variant: str = "winograd",
-        fused_pack=True,
+        fused_pack=False,
     ) -> str:
         """Store a decision for one lookup context; returns its key."""
         self._ensure_loaded()
@@ -360,43 +341,16 @@ class PlanStore:
         with self._lock:
             return dict(self._entries)
 
-    # --------------------------------------------------------- calibrations
-
-    def lookup_calibration(self, site_key: str) -> dict | None:
-        """The persisted loop-vs-indexed outcome for one conversion site.
-
-        Returns ``{"mode": "indexed" | "loop", "baseline": seconds}`` or
-        ``None`` when the site has never been calibrated.
-        """
-        self._ensure_loaded()
-        with self._lock:
-            return self._calibrations.get(site_key)
-
-    def record_calibration(
-        self, site_key: str, mode: str, baseline: float = 0.0
-    ) -> None:
-        """Persist one conversion site's calibration outcome."""
-        if mode not in ("indexed", "loop"):
-            raise ValueError(
-                f"calibration mode must be 'indexed' or 'loop', got {mode!r}"
-            )
-        self._ensure_loaded()
-        with self._lock:
-            self._calibrations[site_key] = {
-                "mode": mode, "baseline": float(baseline),
-            }
-            self._dirty_calibrations.add(site_key)
-
     # ------------------------------------------------------------ artifacts
 
     def get_artifact(self, name: str, default=None):
-        """A named calibration artifact (e.g. ``"accumulate_cap"``)."""
+        """A named artifact (e.g. ``"accumulate_cap"``)."""
         self._ensure_loaded()
         with self._lock:
             return self._artifacts.get(name, default)
 
     def set_artifact(self, name: str, value) -> None:
-        """Store a named calibration artifact (JSON-scalar values only)."""
+        """Store a named artifact (JSON-scalar values only)."""
         self._ensure_loaded()
         with self._lock:
             self._artifacts[name] = value
@@ -430,10 +384,6 @@ class PlanStore:
             self._ensure_loaded()
             entries = {k: self._entries[k] for k in self._dirty_entries
                        if k in self._entries}
-            calibrations = {
-                k: self._calibrations[k] for k in self._dirty_calibrations
-                if k in self._calibrations
-            }
             artifacts = {k: self._artifacts[k] for k in self._dirty_artifacts
                          if k in self._artifacts}
         handle = self._locked_file()
@@ -443,7 +393,6 @@ class PlanStore:
                 "schema": STORE_SCHEMA,
                 "version": STORE_VERSION,
                 "entries": dict(disk.get("entries") or {}),
-                "calibrations": dict(disk.get("calibrations") or {}),
                 "artifacts": dict(disk.get("artifacts") or {}),
             }
             # Drop disk records that fail to parse — they would survive
@@ -455,7 +404,6 @@ class PlanStore:
             doc["entries"].update(
                 {k: d.as_doc() for k, d in entries.items()}
             )
-            doc["calibrations"].update(calibrations)
             doc["artifacts"].update(artifacts)
             fd, tmp_name = tempfile.mkstemp(
                 prefix=self.path.name + ".", suffix=".tmp",
@@ -477,7 +425,6 @@ class PlanStore:
                 # entries too, then clear the dirty sets.
                 self._absorb_doc(doc, overwrite=False)
                 self._dirty_entries.clear()
-                self._dirty_calibrations.clear()
                 self._dirty_artifacts.clear()
         finally:
             if fcntl is not None:

@@ -60,7 +60,7 @@ class TestBitIdentity:
         assume(not (memory == "ip_overwrite" and schedule is not None))
         rng = np.random.default_rng(seed)
         a, b = _operands(rng, m, k, n, dtype)
-        with GemmSession(policy=POLICY, fused_pack="always", memory=memory,
+        with GemmSession(policy=POLICY, fused_pack=True, memory=memory,
                          schedule=schedule, max_workers=2) as s:
             plan = s.plan(m, k, n)
             assert plan._fused, "grid geometry must trip the fused gate"
@@ -98,7 +98,7 @@ class TestBitIdentity:
         b = rng.standard_normal((24, 20))
         c = rng.standard_normal((16, 24))
         kw = dict(op_a="t", op_b="t", alpha=0.5, beta=-1.5)
-        with GemmSession(policy=POLICY, fused_pack="always",
+        with GemmSession(policy=POLICY, fused_pack=True,
                          memory=memory) as s:
             c1 = s.multiply(a, b, c.copy(), **kw)
         with GemmSession(policy=POLICY, fused_pack=False, memory=memory) as s:
@@ -121,7 +121,7 @@ class TestTraceContract:
     def _events(self, rng, memory, schedule, fused):
         a, b = _operands(rng, 16, 16, 16)
         with GemmSession(policy=POLICY, trace=True, memory=memory,
-                         fused_pack="always" if fused else False,
+                         fused_pack=fused,
                          max_workers=2) as s:
             s.multiply(a, b, schedule=schedule)
             validate_trace(s.trace.dump())
@@ -152,7 +152,7 @@ class TestTraceContract:
 
     def test_batch_pack_events(self, rng):
         pairs = [_operands(rng, 16, 16, 16) for _ in range(3)]
-        with GemmSession(policy=POLICY, trace=True) as s:
+        with GemmSession(policy=POLICY, trace=True, fused_pack=True) as s:
             s.multiply_many(pairs)
             events = s.trace.events()
             validate_trace(s.trace.dump())
@@ -167,37 +167,44 @@ class TestTraceContract:
 
 
 class TestGate:
-    def test_default_requires_table_depth(self):
-        # Default fused_pack=True follows the table heuristic: elementwise
-        # gathers only win at depth >= CONVERT_TABLE_MIN_DEPTH.
+    def test_default_does_not_fuse(self):
+        # Fusion is opt-in: the plain copy then add measured faster.
         with GemmSession() as s:
             assert not s.plan(96, 96, 96)._fused  # depth 2
-            assert s.plan(513, 513, 513)._fused  # depth 4
+            assert not s.plan(513, 513, 513)._fused  # depth 4
         with GemmSession(policy=POLICY) as s:
             assert not s.plan(16, 16, 16)._fused  # depth 1
+            pairs = [_operands(np.random.default_rng(0), 16, 16, 16)] * 2
+            s.multiply_many(pairs)
+            assert not any(bp._fused for bp in s._batch_plans.values())
 
     def test_always_fuses_any_recursion(self):
-        with GemmSession(policy=POLICY, fused_pack="always") as s:
-            assert s.plan(16, 16, 16)._fused
+        # fused_pack=True fuses at every depth >= 1.
+        with GemmSession(policy=POLICY, fused_pack=True) as s:
+            assert s.plan(16, 16, 16)._fused  # depth 1
+            assert s.plan(96, 96, 96)._fused  # depth 3
+        with GemmSession(fused_pack=True) as s:
+            assert s.plan(513, 513, 513)._fused  # depth 4
 
     def test_false_never_fuses(self):
         with GemmSession(fused_pack=False) as s:
             assert not s.plan(513, 513, 513)._fused
 
     def test_invalid_value_rejected(self):
-        with pytest.raises(ValueError, match="fused_pack"):
-            GemmSession(fused_pack="maybe")
+        for bad in ("maybe", "always", 1, None):
+            with pytest.raises(ValueError, match="fused_pack"):
+                GemmSession(fused_pack=bad)
 
     def test_strassen_variant_not_fused(self):
         # Fusion encodes the Winograd S/T schedule specifically.
-        with GemmSession(fused_pack="always", policy=POLICY) as s:
+        with GemmSession(fused_pack=True, policy=POLICY) as s:
             assert not s.plan(16, 16, 16, variant="strassen")._fused
 
 
 class TestStats:
     def test_fused_pack_and_convert_counters(self, rng):
         a, b = _operands(rng, 16, 16, 16)
-        with GemmSession(policy=POLICY, fused_pack="always") as s:
+        with GemmSession(policy=POLICY, fused_pack=True) as s:
             s.multiply(a, b)
             s.multiply(a, b)
             st_ = s.stats()

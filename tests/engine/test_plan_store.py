@@ -1,40 +1,35 @@
-"""Engine x plan-store integration: precedence, key resolution, calibration.
-
-The regression at the heart of this file: a plan's conversion-site
-loop-vs-indexed calibration used to live only on the plan object, so an
-LRU eviction threw the measured verdict away and the next compile of the
-same geometry re-ran both trial executions.  With a plan store attached,
-the verdict persists — across evictions and across sessions.
-"""
+"""Engine x plan-store integration: precedence, key resolution, artifacts
+and compatibility with store documents that still carry the removed
+conversion ``calibrations`` section."""
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import json
+import warnings
 
 from repro.blas.kernels import get_accumulate_cap, set_accumulate_cap
 from repro.engine.session import GemmSession
-from repro.layout.convert import calibration_key
 from repro.observe.schema import EVENT_KINDS, validate_trace
 from repro.tune.store import PlanStore, StoredDecision
 
-# Sites calibrate only at depth >= CONVERT_TABLE_MIN_DEPTH (3); 129 at
-# the default dynamic policy splits to depth 3 (tile 17) or similar only
-# for larger n, so use fused_pack=False + an explicit fixed policy that
-# forces depth >= 3 on a small matrix to keep the test fast.
-N = 136  # 17 * 2**3
-POLICY = 17  # fixed tile 17 -> depth 3 at n=136
-
-
-def _operands(n=N, seed=3):
-    rng = np.random.default_rng(seed)
-    a = np.asfortranarray(rng.standard_normal((n, n)))
-    b = np.asfortranarray(rng.standard_normal((n, n)))
-    return a, b
-
-
-def _site_modes(plan):
-    return {name: site.mode for name, site in plan._sites.items()}
+#: A store document in the format written before the conversion
+#: calibrations were removed: a ``calibrations`` section beside the
+#: entries and artifacts (the entry was tuned with fused packing on).
+LEGACY_DOC = {
+    "schema": "repro.plan_store",
+    "version": 1,
+    "entries": {
+        "96x96x96:float64:winograd:fp=True": {
+            "tile_m": 12, "tile_k": 12, "tile_n": 12, "depth": 3,
+            "memory": "two_temp", "source": "autotune",
+        },
+    },
+    "calibrations": {
+        "136x136:t17x17:d3:float64": {"mode": "indexed", "baseline": 0.002},
+        "513x513:t33x33:d4:float64": {"mode": "loop", "baseline": 0.004},
+    },
+    "artifacts": {"accumulate_cap": 1 << 18},
+}
 
 
 class TestPrecedence:
@@ -136,65 +131,38 @@ class TestKeyResolution:
             assert plan.tilings == s.default_policy.plan(96, 96, 96)
 
 
-class TestCalibrationPersistence:
-    def test_verdict_survives_eviction(self, tmp_path):
-        """The PR's regression test: eviction no longer re-trials."""
-        a, b = _operands()
-        store = PlanStore(tmp_path / "p.json")
-        with GemmSession(
-            capacity=1, plan_store=store, fused_pack=False,
-        ) as s:
-            s.multiply(a, b, policy=POLICY)
-            s.multiply(a, b, policy=POLICY)  # trial run -> verdicts decided
-            modes = set(_site_modes(s.plan(N, N, N, policy=POLICY)).values())
-            assert modes <= {"indexed", "loop"} and modes
-            # Evict the plan, then recompile the same geometry.
-            s.plan(64, 64, 64, policy=8)
-            plan = s.plan(N, N, N, policy=POLICY)
-            # Preseeded from the store: no site is back in baseline/trial.
-            for mode in _site_modes(plan).values():
-                assert mode == "indexed"
-            # "loop" verdicts skip the site (and its table) entirely:
-            # every surviving site is indexed, none needs a trial.
-
-    def test_without_store_eviction_retrials(self, tmp_path):
-        """The pre-store behaviour this PR fixes, kept as a contrast."""
-        a, b = _operands()
-        with GemmSession(capacity=1, plan_store=None, fused_pack=False) as s:
-            s.multiply(a, b, policy=POLICY)
-            s.multiply(a, b, policy=POLICY)
-            s.plan(64, 64, 64, policy=8)  # evict
-            plan = s.plan(N, N, N, policy=POLICY)
-            for mode in _site_modes(plan).values():
-                assert mode == "baseline"  # recalibration from scratch
-
-    def test_verdict_survives_sessions(self, tmp_path):
-        a, b = _operands()
+class TestLegacyStore:
+    def test_calibrations_ignored_then_dropped_on_flush(self, tmp_path):
         path = tmp_path / "p.json"
-        with GemmSession(plan_store=path, fused_pack=False) as s:
-            s.multiply(a, b, policy=POLICY)
-            s.multiply(a, b, policy=POLICY)
-            decided = _site_modes(s.plan(N, N, N, policy=POLICY))
-        # A fresh process-like session against the flushed store.
-        with GemmSession(plan_store=path, fused_pack=False) as warm:
-            plan = warm.plan(N, N, N, policy=POLICY)
-            warm_modes = _site_modes(plan)
-            for name, mode in warm_modes.items():
-                assert mode == "indexed"
-                assert decided.get(name) == "indexed"
-            # Sites decided "loop" were dropped: no table was even built.
-            loop_names = {
-                n_ for n_, m_ in decided.items() if m_ == "loop"
-            }
-            assert loop_names.isdisjoint(warm_modes)
-
-    def test_calibration_key_is_stable(self):
-        assert calibration_key(136, 136, 17, 17, 3) == (
-            "136x136:t17x17:d3:float64"
-        )
-        assert calibration_key(136, 136, 17, 17, 3, dtype="float32") != (
-            calibration_key(136, 136, 17, 17, 3)
-        )
+        path.write_text(json.dumps(LEGACY_DOC))
+        original = get_accumulate_cap()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                store = PlanStore(path)
+                assert set(store.entries()) == set(LEGACY_DOC["entries"])
+                assert store.get_artifact("accumulate_cap") == 1 << 18
+                assert not store.dirty
+                with GemmSession(plan_store=store, fused_pack=True) as s:
+                    plan = s.plan(96, 96, 96)
+                    assert [t.tile for t in plan.tilings] == [12, 12, 12]
+                    assert plan.key.memory == "two_temp"
+                    assert s.stats().store_hits == 1
+                    assert get_accumulate_cap() == 1 << 18
+            assert json.loads(path.read_text()) == LEGACY_DOC  # clean
+            store.record(64, 64, 64, StoredDecision(
+                tile_m=16, tile_k=16, tile_n=16, depth=2,
+            ))
+            store.flush()
+            doc = json.loads(path.read_text())
+            assert "calibrations" not in doc
+            assert set(doc["entries"]) == (
+                set(LEGACY_DOC["entries"])
+                | {"64x64x64:float64:winograd:fp=False"}
+            )
+            assert doc["artifacts"] == LEGACY_DOC["artifacts"]
+        finally:
+            set_accumulate_cap(original)
 
 
 class TestArtifacts:

@@ -13,6 +13,7 @@ import pytest
 
 from repro.engine import GemmSession, PlanKey, Schedule, WorkerPool
 from repro.errors import PlanError
+from repro.layout.convert import conversion_table
 
 
 @pytest.fixture(scope="module")
@@ -183,47 +184,19 @@ class TestParallelStats:
             assert st.worker_busy_seconds > 0.0
             assert 0.0 <= st.worker_utilization <= 1.0
 
-    def test_conversion_calibration_counters(self, rng):
-        # 513 -> tile 33 / depth 4: tables are built, and after the
-        # exec-1 baseline the indexed path is tried on exec 2.  With
-        # fused packing (the default) the a/b sides always gather through
-        # the fused tables, so only the c site calibrates loop-vs-indexed.
+    def test_plan_converts_through_shared_tables(self, rng):
+        # Every plan holds the shared box geometry of its three operands,
+        # with nothing per element, and repeats its result bit for bit.
         a = rng.standard_normal((513, 513))
         b = rng.standard_normal((513, 513))
         with GemmSession() as s:
             plan = s.plan(513, 513, 513)
-            assert set(plan._sites) == {"c"}
-            assert set(plan._ftables) == {"a", "b"}
+            assert set(plan._tables) == {"a", "b", "c"}
+            assert plan._tables["a"] is conversion_table(513, 513, 33, 33, 4)
+            assert len(plan._tables["c"].boxes) <= 5 * 5
             ref = s.multiply(a, b)
-            assert s.stats().indexed_conversions == 0  # baseline pass
-            c2 = s.multiply(a, b)
-            assert np.array_equal(c2, ref)  # paths are bit-identical
-            st = s.stats()
-            assert st.indexed_conversions == 1  # trial pass, c site
             for _ in range(2):
                 assert np.array_equal(s.multiply(a, b), ref)
-
-    def test_conversion_calibration_counters_unfused(self, rng):
-        # fused_pack=False restores the legacy three-site calibration.
-        a = rng.standard_normal((513, 513))
-        b = rng.standard_normal((513, 513))
-        with GemmSession(fused_pack=False) as s:
-            plan = s.plan(513, 513, 513)
-            assert set(plan._sites) == {"a", "b", "c"}
-            assert plan._ftables == {}
-            ref = s.multiply(a, b)
-            assert s.stats().indexed_conversions == 0  # baseline pass
-            c2 = s.multiply(a, b)
-            assert np.array_equal(c2, ref)  # paths are bit-identical
-            st = s.stats()
-            assert st.indexed_conversions == 3  # trial pass, all sites
-            for _ in range(2):
-                assert np.array_equal(s.multiply(a, b), ref)
-
-    def test_shallow_plans_skip_tables(self):
-        with GemmSession() as s:
-            plan = s.plan(96, 96, 96)  # depth < CONVERT_TABLE_MIN_DEPTH
-            assert plan._sites == {}
 
     def test_pooled_bytes_cover_scratch_and_tables(self):
         with GemmSession(max_workers=2) as s:

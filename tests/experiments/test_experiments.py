@@ -5,7 +5,8 @@ exercised by the benchmark harness.  Each test asserts the *qualitative*
 facts the paper reports, not absolute numbers.
 """
 
-import numpy as np
+from statistics import median
+
 import pytest
 
 from repro.analysis.timing import TimingProtocol
@@ -105,8 +106,17 @@ class TestFig56Modeled:
 
 class TestFig7:
     def test_fraction_decreases_with_size(self):
-        r = fig7_conversion.run(sizes=[128, 600], protocol=FAST)
-        pct = r.column("convert_pct")
+        # One warm-up call per size, then the median of five calls per
+        # size, the sizes alternating (order ping-ponged each round) so
+        # host drift and cache state hit both alike.
+        sizes = [128, 600]
+        fig7_conversion.run(sizes=sizes, protocol=FAST)
+        samples = {n: [] for n in sizes}
+        for rnd in range(5):
+            for n in sizes if rnd % 2 == 0 else sizes[::-1]:
+                r = fig7_conversion.run(sizes=[n], protocol=FAST)
+                samples[n].append(r.column("convert_pct")[0])
+        pct = [median(samples[n]) for n in sizes]
         assert 0 < pct[1] < pct[0] < 100
 
     def test_phases_sum(self):

@@ -3,8 +3,6 @@
 import numpy as np
 import pytest
 
-import repro.layout.convert as convert_mod
-from repro.core.scheduler import WorkerPool
 from repro.layout.convert import (
     ConversionTable,
     conversion_table,
@@ -13,6 +11,7 @@ from repro.layout.convert import (
 )
 from repro.layout.matrix import MortonMatrix
 from repro.layout.padding import TileRange, select_common_tiling
+from repro.layout.tiles import iter_tiles
 
 
 def empty_for(rows, cols, tile_range=TileRange()):
@@ -96,20 +95,27 @@ def table_for(m: MortonMatrix) -> ConversionTable:
     return ConversionTable(m.rows, m.cols, m.tile_r, m.tile_c, m.depth)
 
 
+def loop_to_morton(a: np.ndarray, m: MortonMatrix) -> np.ndarray:
+    """Reference conversion: one 2-D copy per leaf tile, in z-order."""
+    buf = np.zeros(m.size)
+    tr, tc = m.tile_r, m.tile_c
+    for t in iter_tiles(m.depth, tr, tc):
+        tile = buf[t.offset : t.offset + tr * tc].reshape(tc, tr).T
+        part = a[t.row0 : t.row0 + tr, t.col0 : t.col0 + tc]
+        tile[: part.shape[0], : part.shape[1]] = part
+    return buf
+
+
 class TestConversionTable:
-    """The precomputed-index path must agree exactly with the tile loop."""
+    """The strided box copies must agree exactly with a per-tile copy."""
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_roundtrip_matches_loop(self, rng, shape):
         a = rng.standard_normal(shape)
-        loop = empty_for(*shape)
-        indexed = empty_for(*shape)
-        dense_to_morton(a, loop)
-        dense_to_morton(a, indexed, table=table_for(indexed))
-        assert np.array_equal(indexed.buf, loop.buf)
-        assert np.array_equal(
-            morton_to_dense(indexed, table=table_for(indexed)), a
-        )
+        m = empty_for(*shape)
+        dense_to_morton(a, m, table=table_for(m))
+        assert np.array_equal(m.buf, loop_to_morton(a, m))
+        assert np.array_equal(morton_to_dense(m, table=table_for(m)), a)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_source_contiguity_dispatch(self, rng, order):
@@ -169,42 +175,44 @@ class TestConversionTable:
         strided = np.empty((130, 63))[::2]
         assert np.array_equal(morton_to_dense(m, out=strided, table=tab), a)
 
-    def test_parallel_chunked_conversion(self, rng, monkeypatch):
-        monkeypatch.setattr(convert_mod, "PARALLEL_CONVERT_MIN", 64)
-        pool = WorkerPool(3, name="test-convert")
-        try:
-            a = rng.standard_normal((150, 150))
-            m = empty_for(150, 150)
-            dense_to_morton(a, m, table=table_for(m), pool=pool, workers=3)
-            loop = empty_for(150, 150)
-            dense_to_morton(a, loop)
-            assert np.array_equal(m.buf, loop.buf)
-            out = morton_to_dense(m, table=table_for(m), pool=pool, workers=3)
-            assert np.array_equal(out, a)
-        finally:
-            pool.shutdown()
-
-    def test_chunks_cover_range_disjointly(self):
-        tab = ConversionTable(33, 33, 33, 33, 0)
-        for n in (1, 2, 7, 2000):
-            slices = tab.chunks(n)
-            covered = np.concatenate(
-                [np.arange(s.start, s.stop) for s in slices]
-            )
-            assert np.array_equal(covered, np.arange(33 * 33))
-
     def test_shared_cache_returns_same_table(self):
         t1 = conversion_table(64, 64, 16, 16, 2)
         t2 = conversion_table(64, 64, 16, 16, 2)
         assert t1 is t2
-        assert t1.nbytes > 0
+        assert len(t1.boxes) == 1
 
     def test_tables_are_immutable(self):
         tab = conversion_table(64, 64, 16, 16, 2)
-        with pytest.raises(ValueError):
-            tab.offsets[0, 0] = 1
-        with pytest.raises(ValueError):
-            tab.flat_f[0] = 1
+        with pytest.raises(TypeError):
+            tab.boxes[0] = None
+        region = tab.region(0, 10, 3, 64)
+        assert isinstance(region, tuple)
+        assert tab.region(0, 10, 3, 64) is region  # cached
+
+    @pytest.mark.parametrize("geom,boxes", [
+        ((1024, 1024, 32, 32, 5), 1),
+        ((96, 96, 24, 24, 2), 1),
+        ((1001, 999, 63, 63, 4), 25),
+        ((513, 513, 33, 33, 4), 25),
+    ])
+    def test_box_counts(self, geom, boxes):
+        # Each axis splits into dyadic blocks of whole tiles plus one
+        # partial tile: at most (depth + 1) segments per axis.
+        assert len(conversion_table(*geom).boxes) == boxes
+
+    def test_beta_epilogue_matches_two_pass(self, rng):
+        a = rng.standard_normal((65, 63))
+        m = empty_for(65, 63)
+        dense_to_morton(a, m)
+        c = rng.standard_normal((65, 63))
+        expect = c.copy()
+        expect *= -0.5
+        expect += a
+        out = morton_to_dense(m, out=c, beta=-0.5)
+        assert out is c
+        assert np.array_equal(c, expect)
+        with pytest.raises(ValueError, match="beta"):
+            morton_to_dense(m, beta=2.0)
 
 
 class TestMortonToDenseOut:

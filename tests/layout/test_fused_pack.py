@@ -11,6 +11,7 @@ import pytest
 
 from repro.layout.convert import (
     ConversionTable,
+    conversion_table,
     dense_to_morton,
     dense_to_morton_quadrants,
     pack_morton_quarter,
@@ -50,38 +51,48 @@ def _dense(rng, rows, cols):
 
 
 class TestQuadOffsets:
+    """A quadrant slot holds its quadrant in the depth ``d - 1`` layout —
+    the property the fused packs rely on when they write a quarter."""
+
     @pytest.mark.parametrize("geom", GEOMETRIES)
-    def test_matches_quadrant_relative_offsets(self, geom):
+    def test_matches_quadrant_relative_offsets(self, rng, geom):
         rows, cols, tr, tc, depth = geom
-        table = ConversionTable(rows, cols, tr, tc, depth)
-        quad = table.quad_offsets
+        a = _dense(rng, rows, cols)
+        full = _mm(rows, cols, tr, tc, depth)
+        dense_to_morton(a, full)
         h2 = (tr << depth) >> 1
         w2 = (tc << depth) >> 1
-        assert quad.shape == (h2, w2)
-        quarter = table.padded_size // 4
+        quarter = full.size // 4
         for qr in (0, 1):
             for qc in (0, 1):
                 z = (qr << 1) | qc
                 h = min(max(rows - qr * h2, 0), h2)
                 w = min(max(cols - qc * w2, 0), w2)
+                slot = full.buf[z * quarter : (z + 1) * quarter]
                 if not (h and w):
+                    assert not slot.any()
                     continue
-                full = table.offsets[qr * h2 : qr * h2 + h,
-                                     qc * w2 : qc * w2 + w]
-                assert np.array_equal(full - z * quarter, quad[:h, :w])
+                sub = _mm(h, w, tr, tc, depth - 1)
+                dense_to_morton(a[qr * h2 : qr * h2 + h,
+                                  qc * w2 : qc * w2 + w], sub)
+                assert _bits(slot) == _bits(sub.buf)
 
     def test_depth_zero_rejected(self):
         table = ConversionTable(4, 4, 4, 4, 0)
-        with pytest.raises(ValueError):
-            table.quad_offsets
+        with pytest.raises(ValueError, match="depth"):
+            pack_morton_quarter(np.empty(4), np.zeros((4, 4)), "+", (1, 0),
+                                (1, 1), table)
+        with pytest.raises(ValueError, match="depth"):
+            dense_to_morton_quadrants(np.zeros((4, 4)), _mm(4, 4, 4, 4, 0),
+                                      ((0, 0),), table=table)
 
     def test_cached_and_counted(self):
-        table = ConversionTable(16, 16, 4, 4, 2)
-        before = table.nbytes
-        quad = table.quad_offsets
-        assert table.quad_offsets is quad  # lazy, built once
-        assert table.nbytes == before + quad.nbytes
-        assert not quad.flags.writeable
+        table = conversion_table(16, 16, 4, 4, 2)
+        assert conversion_table(16, 16, 4, 4, 2) is table
+        region = table.region(3, 15, 0, 9)
+        assert table.region(3, 15, 0, 9) is region  # computed once
+        # Per axis at most depth + 1 segments (+1 for an unaligned start).
+        assert 0 < len(region) <= (table.depth + 2) ** 2
 
 
 class TestDenseToMortonQuadrants:
@@ -104,10 +115,15 @@ class TestDenseToMortonQuadrants:
             sl = slice(z * quarter, (z + 1) * quarter)
             assert _bits(out.buf[sl]) == _bits(ref.buf[sl]), (qr, qc)
 
-    def test_requires_table(self):
-        out = _mm(16, 16, 4, 4, 2)
-        with pytest.raises(ValueError, match="table"):
-            dense_to_morton_quadrants(np.zeros((16, 16)), out, ((0, 0),))
+    def test_table_defaults_to_shared(self, rng):
+        src = _dense(rng, 13, 11)
+        quads = ((1, 0), (0, 1))
+        with_table = _mm(13, 11, 4, 3, 2)
+        dense_to_morton_quadrants(src, with_table, quads,
+                                  table=ConversionTable(13, 11, 4, 3, 2))
+        shared = _mm(13, 11, 4, 3, 2)
+        dense_to_morton_quadrants(src, shared, quads)
+        assert _bits(shared.buf) == _bits(with_table.buf)
 
     def test_rejects_mismatched_table(self):
         out = _mm(16, 16, 4, 4, 2)

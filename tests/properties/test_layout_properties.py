@@ -3,7 +3,17 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.layout.matrix import MortonMatrix
+from repro.core.winograd import FUSED_PACKS_A, FUSED_PACKS_B
+from repro.layout.convert import (
+    conversion_table,
+    dense_to_morton,
+    dense_to_morton_batch,
+    dense_to_morton_quadrants,
+    morton_to_dense,
+    morton_to_dense_batch,
+    pack_morton_quarter,
+)
+from repro.layout.matrix import BatchMortonMatrix, MortonMatrix
 from repro.layout.morton import (
     compact_bits,
     deinterleave2,
@@ -100,3 +110,139 @@ def test_element_offsets_bijective(tile_r, tile_c, depth):
     j = np.tile(np.arange(cols), rows)
     off = element_offsets(i, j, tile_r, tile_c, depth)
     assert np.array_equal(np.sort(off), np.arange(rows * cols))
+
+
+# --------------------------------------------- box-copy conversion vs offsets
+
+QUADS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _bits(x):
+    x = np.ascontiguousarray(x)
+    return x.view(np.int32 if x.dtype == np.float32 else np.int64).tobytes()
+
+
+def _source(rng, shape, layout, dtype):
+    """A dense operand of ``shape`` with signed zeros, in one memory layout."""
+    a = rng.standard_normal(shape).astype(dtype)
+    a[a < -1.8] = -0.0
+    a[a > 1.8] = 0.0
+    if layout == "F":
+        return np.asfortranarray(a)
+    if layout == "strided":
+        big = np.zeros((2 * shape[0], 3 * shape[1]), dtype=dtype)
+        big[::2, ::3] = a
+        return big[::2, ::3]
+    if layout == "negative":
+        return np.ascontiguousarray(a[::-1, ::-1])[::-1, ::-1]
+    if layout == "readonly":
+        a.setflags(write=False)
+    return a
+
+
+def _reference(opa, tr, tc, depth):
+    """The Morton buffer of ``opa`` built element by element from offsets."""
+    rows, cols = opa.shape
+    ii, jj = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
+    ref = np.zeros((tr << depth) * (tc << depth), dtype=opa.dtype)
+    ref[element_offsets(ii, jj, tr, tc, depth)] = opa
+    return ref
+
+
+@st.composite
+def geometries(draw):
+    depth = draw(st.integers(0, 5))
+    tr = draw(st.integers(1, 6 if depth < 4 else 3))
+    tc = draw(st.integers(1, 6 if depth < 4 else 3))
+    rows = draw(st.integers(1, tr << depth))
+    cols = draw(st.integers(1, tc << depth))
+    return rows, cols, tr, tc, depth
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    geom=geometries(),
+    layout=st.sampled_from(["C", "F", "strided", "negative", "readonly"]),
+    transpose=st.booleans(),
+    dtype=st.sampled_from([np.float64, np.float32]),
+    quads=st.sets(st.sampled_from(QUADS), min_size=1),
+    beta=st.sampled_from([0.5, -1.0, 2.0]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_box_conversion_matches_element_offsets(geom, layout, transpose,
+                                                dtype, quads, beta, seed):
+    rows, cols, tr, tc, depth = geom
+    rng = np.random.default_rng(seed)
+    shape = (cols, rows) if transpose else (rows, cols)
+    a = _source(rng, shape, layout, dtype)
+    opa = a.T if transpose else a
+    ref = _reference(opa, tr, tc, depth)
+    table = conversion_table(*geom)
+    size = ref.size
+
+    def poisoned():
+        return MortonMatrix(buf=np.full(size, np.nan, dtype=dtype), rows=rows,
+                            cols=cols, tile_r=tr, tile_c=tc, depth=depth)
+
+    # dense -> Morton: bit for bit, pads zeroed over a poisoned buffer,
+    # and zero_pad=False touches nothing but the logical elements.
+    m = dense_to_morton(a, poisoned(), transpose=transpose)
+    assert _bits(m.buf) == _bits(ref)
+    m2 = MortonMatrix(buf=np.zeros(size, dtype=dtype), rows=rows, cols=cols,
+                      tile_r=tr, tile_c=tc, depth=depth)
+    dense_to_morton(a, m2, transpose=transpose, zero_pad=False, table=table)
+    assert _bits(m2.buf) == _bits(ref)
+    assert m2.pad_is_zero()
+
+    # Morton -> dense into fresh, C-order and strided destinations.
+    assert _bits(morton_to_dense(m)) == _bits(np.asfortranarray(opa))
+    out = np.zeros((2 * rows, cols), dtype=dtype)[::2]
+    assert morton_to_dense(m, out=out, table=table) is out
+    assert _bits(out) == _bits(opa)
+
+    # The beta epilogue equals the two-pass scale then add.
+    c = _source(rng, (rows, cols), "C", dtype)
+    expect = c.copy()
+    expect *= beta
+    expect += opa
+    assert _bits(morton_to_dense(m, out=c, beta=beta)) == _bits(expect)
+
+    # Batch stacks: a leading axis through the same boxes.
+    b = _source(rng, shape, "F", dtype)
+    stack = BatchMortonMatrix(buf=np.zeros((3, size), dtype=dtype), rows=rows,
+                              cols=cols, tile_r=tr, tile_c=tc, depth=depth)
+    dense_to_morton_batch([a, b], stack, transpose=transpose)
+    ref_b = _reference(b.T if transpose else b, tr, tc, depth)
+    assert _bits(stack.buf[0]) == _bits(ref)
+    assert _bits(stack.buf[1]) == _bits(ref_b)
+    assert not stack.buf[2].any()
+    outs = morton_to_dense_batch(stack, 2, table=table)
+    assert all(o.flags.f_contiguous for o in outs)
+    assert _bits(outs[0]) == _bits(opa)
+    assert _bits(outs[1]) == _bits(b.T if transpose else b)
+
+    if depth < 1:
+        return
+    quarter = size // 4
+
+    def slot(buf, q):
+        z = (q[0] << 1) | q[1]
+        return buf[z * quarter : (z + 1) * quarter]
+
+    # Quadrant subsets: listed slots as a full conversion writes them,
+    # the others untouched.
+    mq = poisoned()
+    dense_to_morton_quadrants(a, mq, sorted(quads), transpose=transpose,
+                              table=table)
+    for q in QUADS:
+        if q in quads:
+            assert _bits(slot(mq.buf, q)) == _bits(slot(ref, q))
+        else:
+            assert np.isnan(slot(mq.buf, q)).all()
+
+    # Every fused pack: the flat ufunc over two converted quadrant slots.
+    for _, op, q0, q1 in FUSED_PACKS_A + FUSED_PACKS_B:
+        ufunc = np.add if op == "+" else np.subtract
+        dst = np.full(quarter, np.nan, dtype=dtype)
+        pack_morton_quarter(dst, a, op, q0, q1, table, transpose=transpose)
+        assert _bits(dst) == _bits(ufunc(slot(ref, q0), slot(ref, q1)))
