@@ -8,7 +8,7 @@ PYTHON ?= python
 TIMEOUT_FLAGS := $(shell $(PYTHON) -c "import pytest_timeout" 2>/dev/null \
 	&& echo "--timeout=120 --timeout-method=thread")
 
-.PHONY: install test lint bench bench-smoke tune-smoke trace-demo figures quick-figures clean
+.PHONY: install test lint bench bench-smoke tune-smoke perf-smoke trace-demo figures quick-figures clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -51,6 +51,12 @@ tune-smoke:
 	PYTHONPATH=src BENCH_TUNE_QUICK=1 $(PYTHON) -m pytest \
 		benchmarks/test_bench_tune.py -q
 	$(PYTHON) benchmarks/validate_bench_tune.py
+
+# The end-to-end benchmark's own tests: every perfbench workload at tiny
+# scale, both the timed path and the outside-in layer trace, with the
+# traced pipeline checked bit-identical to the engine.
+perf-smoke:
+	$(PYTHON) -m pytest perfbench -q
 
 # Traced 513x513 multiply end to end; validates the dumped trace
 # document against TRACE_SCHEMA and prints a per-worker summary.

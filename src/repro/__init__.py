@@ -36,8 +36,8 @@ Sessions are the serving-workload API::
 """
 
 from .errors import (
-    ReproError, ShapeError, PlanError, KernelError, BatchItemError,
-    InvariantError,
+    ReproError, ShapeError, DTypeError, PlanError, KernelError,
+    BatchItemError, InvariantError,
 )
 from .observe import TraceEvent, Tracer, validate_trace
 from .blas.dgemm import GemmProblem, OpKind, dgemm_reference
@@ -84,6 +84,7 @@ __all__ = [
     "reset_default_session",
     "ReproError",
     "ShapeError",
+    "DTypeError",
     "PlanError",
     "KernelError",
     "BatchItemError",

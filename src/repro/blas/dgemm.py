@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import PlanError, ShapeError
+from ..errors import DTypeError, PlanError, ShapeError
 
 __all__ = ["OpKind", "GemmProblem", "dgemm_reference"]
 
@@ -79,8 +79,13 @@ class GemmProblem:
         """
         dt = np.dtype(np.float64 if dtype is None else dtype)
         if dt not in (np.dtype(np.float64), np.dtype(np.float32)):
-            raise ValueError(
+            raise DTypeError(
                 f"unsupported dtype {dt}; dgemm supports float64 and float32"
+            )
+        if np.iscomplexobj(a) or np.iscomplexobj(b) or np.iscomplexobj(c):
+            raise DTypeError(
+                "complex operands are not supported: casting to "
+                f"{dt} would drop the imaginary part"
             )
         a = np.asarray(a, dtype=dt)
         b = np.asarray(b, dtype=dt)
@@ -122,6 +127,23 @@ class GemmProblem:
             a=a, b=b, op_a=op_a, op_b=op_b,
             alpha=float(alpha), beta=float(beta), m=m, k=k, n=n,
         )
+
+    @property
+    def empty(self) -> bool:
+        """True when ``m``, ``k`` or ``n`` is 0 (nothing to multiply)."""
+        return 0 in (self.m, self.k, self.n)
+
+    def empty_result(self, c: np.ndarray | None) -> np.ndarray:
+        """What BLAS returns for an :attr:`empty` problem: ``beta * C``
+        (C zeroed when ``beta == 0``), or a zero ``(m, n)`` array when no
+        C is given — an empty one when ``m`` or ``n`` is 0."""
+        if c is None:
+            return np.zeros((self.m, self.n), dtype=self.a.dtype, order="F")
+        if self.beta == 0.0:
+            c[...] = 0.0
+        else:
+            c *= self.beta
+        return c
 
     @property
     def op_a_view(self) -> np.ndarray:

@@ -27,6 +27,8 @@ Modelled access patterns:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from ..core.workspace import Workspace
@@ -52,6 +54,29 @@ __all__ = [
 def _addr_of(arr: np.ndarray) -> int:
     """Actual virtual base address of a numpy array's data."""
     return arr.__array_interface__["data"][0]
+
+
+#: Base-address boundary of every buffer :func:`modgemm_trace` allocates:
+#: the largest simulated cache (2 MiB, the Alpha L3 and Ultra 60 L2), so
+#: a buffer's cache sets never depend on where the allocator put it.
+TRACE_ALIGN_BYTES = 2 << 20
+#: Per-buffer stagger past that boundary, in 64-byte lines: odd and about
+#: 0.618 of the boundary's 32768 lines (Fibonacci hashing), so buffer
+#: ``i`` starts ``i * 20251`` lines in and siblings spread evenly over the
+#: sets of every power-of-two cache up to 2 MiB, as random placement
+#: would on average.
+TRACE_STAGGER_LINES = 20251
+
+
+def _placed(shape, index: int, order: str = "C") -> np.ndarray:
+    """Zeroed float64 array starting ``index`` staggers past a
+    ``TRACE_ALIGN_BYTES`` boundary: the same simulated cache sets on
+    every run."""
+    n = int(np.prod(shape))
+    off = index * TRACE_STAGGER_LINES % (TRACE_ALIGN_BYTES // 64) * 64
+    raw = np.zeros(n + (TRACE_ALIGN_BYTES + off) // ELEM)
+    lo = (-_addr_of(raw) % TRACE_ALIGN_BYTES + off) // ELEM
+    return raw[lo : lo + n].reshape(shape, order=order)
 
 
 def _register_quadrant_regions(regions, name: str, mm: MortonMatrix) -> None:
@@ -361,12 +386,15 @@ def modgemm_trace(
     from ..core.winograd import winograd_multiply
 
     tm, tk, tn = tilings
-    a_mm = MortonMatrix.zeros(tm.n, tk.n, tm, tk)
-    b_mm = MortonMatrix.zeros(tk.n, tn.n, tk, tn)
-    c_mm = MortonMatrix.zeros(tm.n, tn.n, tm, tn)
-    a_dense = np.zeros((tm.n, tk.n), dtype=np.float64, order="F")
-    b_dense = np.zeros((tk.n, tn.n), dtype=np.float64, order="F")
-    c_dense = np.zeros((tm.n, tn.n), dtype=np.float64, order="F")
+    a_mm = MortonMatrix(_placed(tm.padded * tk.padded, 0), tm.n, tk.n,
+                        tm.tile, tk.tile, tm.depth)
+    b_mm = MortonMatrix(_placed(tk.padded * tn.padded, 1), tk.n, tn.n,
+                        tk.tile, tn.tile, tk.depth)
+    c_mm = MortonMatrix(_placed(tm.padded * tn.padded, 2), tm.n, tn.n,
+                        tm.tile, tn.tile, tm.depth)
+    a_dense = _placed((tm.n, tk.n), 3, order="F")
+    b_dense = _placed((tk.n, tn.n), 4, order="F")
+    c_dense = _placed((tm.n, tn.n), 5, order="F")
     if regions is not None:
         _register_quadrant_regions(regions, "A", a_mm)
         _register_quadrant_regions(regions, "B", b_mm)
@@ -386,6 +414,12 @@ def modgemm_trace(
             b_mm, _addr_of(b_dense), tk.n, sink, to_morton=True
         )
     ws = Workspace(a_mm.depth, a_mm.tile_r, a_mm.tile_c, b_mm.tile_c, with_q=True)
+    index = 6
+    for lv in ws.levels:  # rehome every scratch buffer the same way
+        for slot in ("s", "t", "p", "q"):
+            mm = getattr(lv, slot)
+            setattr(lv, slot, replace(mm, buf=_placed(mm.size, index)))
+            index += 1
     if regions is not None:
         for i, lv in enumerate(ws.levels):
             regions.add_array(f"ws{i}.S", lv.s.buf)

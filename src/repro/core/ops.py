@@ -157,7 +157,7 @@ class NumpyOps:
     def iadd(self, dst: MortonMatrix, x: MortonMatrix) -> None:
         """``dst += x`` in place."""
         _same_size(dst, x)
-        dst.buf += x.buf
+        np.add(dst.buf, x.buf, out=dst.buf)
         tr = self.trace
         if tr is not None and tr.enabled:
             self._emit("iadd", dst)
@@ -310,8 +310,8 @@ class NumpyOps:
                 a.leaf_view(), b.leaf_view(), dst.leaf_view(), accumulate=False
             )
             if alpha != 1.0:
-                dst.buf *= alpha
+                np.multiply(dst.buf, alpha, out=dst.buf)
             return
         self.kernel(a.leaf_view(), b.leaf_view(), dst.leaf_view(), accumulate=False)
         if alpha != 1.0:
-            dst.buf *= alpha
+            np.multiply(dst.buf, alpha, out=dst.buf)

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import threading
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -579,8 +580,8 @@ def parallel_multiply(
         stacklevel=2,
     )
     if c is None:
-        c = _scratch(a.tile_r, b.tile_c, a.depth)
-        c.rows, c.cols = a.rows, b.cols
+        c = replace(_scratch(a.tile_r, b.tile_c, a.depth), rows=a.rows,
+                    cols=b.cols)
     _check_conformable(a, b, c)
     if max_workers < 1:
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")

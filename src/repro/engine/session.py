@@ -634,6 +634,8 @@ class GemmSession:
             a, b, op_a=op_a, op_b=op_b, alpha=alpha, beta=beta, c=c,
             dtype=dtype, trans_a=trans_a, trans_b=trans_b,
         )
+        if p.empty:
+            return p.empty_result(c)
         key = self._make_key(
             p.m, p.k, p.n, p.op_a, p.op_b, policy, kernel, variant,
             parallel, schedule, memory, dtype, alpha=alpha, beta=beta,
@@ -724,6 +726,9 @@ class GemmSession:
                     c=c, dtype=opts.get("dtype"),
                     trans_a=opts.get("trans_a"), trans_b=opts.get("trans_b"),
                 )
+                if p.empty:  # answered below, never planned
+                    specs.append((p, None, c, None))
+                    continue
                 key = self._make_key(
                     p.m, p.k, p.n, p.op_a, p.op_b,
                     opts.get("policy"), opts.get("kernel"),
@@ -739,7 +744,8 @@ class GemmSession:
         results: list = [None] * len(items)
         groups: "OrderedDict[PlanKey, list[int]]" = OrderedDict()
         for i, (_, key, _, _) in enumerate(specs):
-            groups.setdefault(key, []).append(i)
+            if key is not None:
+                groups.setdefault(key, []).append(i)
 
         errors: dict[int, BatchItemError] = {}
 
@@ -750,6 +756,13 @@ class GemmSession:
                 wrapped.__cause__ = exc
                 exc = wrapped
             errors.setdefault(exc.index, exc)
+
+        for i, (p, key, c, _) in enumerate(specs):
+            if key is None:
+                try:
+                    results[i] = p.empty_result(c)
+                except Exception as exc:  # noqa: BLE001 - filed per item
+                    record(exc, i)
 
         fallback: list[int] = []
         for key, idxs in groups.items():

@@ -10,8 +10,8 @@ sites — and the seed test-suite — keep working unchanged.
 from __future__ import annotations
 
 __all__ = [
-    "ReproError", "ShapeError", "PlanError", "KernelError", "BatchItemError",
-    "InvariantError",
+    "ReproError", "ShapeError", "DTypeError", "PlanError", "KernelError",
+    "BatchItemError", "InvariantError",
 ]
 
 
@@ -25,6 +25,15 @@ class ShapeError(ReproError):
     Raised by :meth:`repro.blas.dgemm.GemmProblem.create` and by
     :meth:`repro.engine.CompiledPlan.execute` when operands do not match
     the plan's frozen geometry.
+    """
+
+
+class DTypeError(ReproError):
+    """An operand or requested dtype is outside what the engine computes.
+
+    Raised by :meth:`repro.blas.dgemm.GemmProblem.create` for a
+    ``dtype=`` other than float64/float32 and for complex A, B or C
+    (casting them to float would silently drop the imaginary part).
     """
 
 

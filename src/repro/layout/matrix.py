@@ -21,7 +21,7 @@ and the stacked leaf tiles form a ``(batch, T, T)`` array that one batched
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -63,8 +63,111 @@ def staggered_buffer(
     return raw[offset : offset + n].reshape(shape)
 
 
-@dataclass
-class MortonMatrix:
+@dataclass(frozen=True, slots=True, eq=False)
+class _MortonViews:
+    """Geometry and memoised view tree shared by both Morton containers.
+
+    The geometry fields are frozen, so every derived view is a pure
+    function of them and is built at most once per instance: ``size``,
+    the ``quadrants()`` tuple, the ``leaf_view()`` array, and the caches
+    :mod:`repro.layout.relabel` keeps here (``_t``, ``_relabel``).  A
+    plan's pooled buffers therefore grow their whole descent tree on the
+    first execution and every later one constructs no objects.  The caches
+    are write-once: two threads racing on a first use each build an
+    identical view, and whichever is stored serves the same memory.
+    """
+
+    buf: np.ndarray
+    rows: int
+    cols: int
+    tile_r: int
+    tile_c: int
+    depth: int
+    size: int = field(init=False, repr=False)
+    _quads: tuple | None = field(init=False, default=None, repr=False)
+    _leaf: np.ndarray | None = field(init=False, default=None, repr=False)
+    _t: object = field(init=False, default=None, repr=False)
+    _relabel: object = field(init=False, default=None, repr=False)
+
+    #: Marker the recursion checks before relabeling scratch (a
+    #: :class:`~repro.layout.relabel.TransposedView` says ``True``).
+    transposed = False
+
+    def _check(self, ndim: int) -> None:
+        size = (self.tile_r << self.depth) * (self.tile_c << self.depth)
+        object.__setattr__(self, "size", size)
+        if self.buf.ndim != ndim:
+            raise ValueError(
+                f"{type(self).__name__} buffer must be {ndim}-D"
+            )
+        if self.buf.shape[-1] != size:
+            raise ValueError(
+                f"buffer has {self.buf.shape[-1]} elements; tiling "
+                f"({self.tile_r}x{self.tile_c}, depth {self.depth}) needs {size}"
+            )
+
+    # ---------------------------------------------------------------- shape
+
+    @property
+    def padded_rows(self) -> int:
+        return self.tile_r << self.depth
+
+    @property
+    def padded_cols(self) -> int:
+        return self.tile_c << self.depth
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """Logical (unpadded) shape."""
+        return (self.rows, self.cols)
+
+    # ------------------------------------------------------------ structure
+
+    def quadrant(self, qr: int, qc: int):
+        """Zero-copy view of quadrant ``(qr, qc)`` (0=N/W, 1=S/E).
+
+        Quadrants of a padded matrix are always "full": their logical size
+        equals their padded size except that the original logical boundary
+        is *not* tracked below the top level — by construction the pad holds
+        zeros and participates harmlessly in the arithmetic, so recursion
+        levels treat quadrants as dense.
+        """
+        if qr not in (0, 1) or qc not in (0, 1):
+            raise ValueError(f"quadrant indices must be 0 or 1, got ({qr}, {qc})")
+        return self.quadrants()[(qr << 1) | qc]
+
+    def quadrants(self) -> tuple:
+        """All four quadrant views in (11, 12, 21, 22) paper numbering
+        (memoised: every call returns the same tuple)."""
+        quads = self._quads
+        if quads is None:
+            if self.depth == 0:
+                raise ValueError("a leaf tile has no quadrants")
+            q = self.size >> 2
+            quads = tuple(
+                type(self)(
+                    self.buf[..., z * q : (z + 1) * q],
+                    self.padded_rows >> 1, self.padded_cols >> 1,
+                    self.tile_r, self.tile_c, self.depth - 1,
+                )
+                for z in range(4)  # NW, NE, SW, SE
+            )
+            object.__setattr__(self, "_quads", quads)
+        return quads
+
+    def leaf_view(self) -> np.ndarray:
+        """The leaf tile as a BLAS operand (depth must be 0; memoised)."""
+        leaf = self._leaf
+        if leaf is None:
+            if self.depth != 0:
+                raise ValueError(f"leaf_view requires depth 0, got {self.depth}")
+            leaf = self._make_leaf()
+            object.__setattr__(self, "_leaf", leaf)
+        return leaf
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class MortonMatrix(_MortonViews):
     """A (possibly padded) matrix stored in Morton order.
 
     Attributes
@@ -82,43 +185,18 @@ class MortonMatrix:
     depth:
         Recursion depth; the padded matrix is ``tile_r * 2**depth`` by
         ``tile_c * 2**depth``.
+    size:
+        Buffer length (padded element count), derived.
+
+    The geometry is immutable (assigning a field raises); the contents of
+    ``buf`` are not.
     """
 
-    buf: np.ndarray
-    rows: int
-    cols: int
-    tile_r: int
-    tile_c: int
-    depth: int
-
-    # ---------------------------------------------------------------- shape
-
-    @property
-    def padded_rows(self) -> int:
-        return self.tile_r << self.depth
-
-    @property
-    def padded_cols(self) -> int:
-        return self.tile_c << self.depth
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        """Logical (unpadded) shape."""
-        return (self.rows, self.cols)
-
-    @property
-    def size(self) -> int:
-        """Buffer length (padded element count)."""
-        return self.padded_rows * self.padded_cols
+    #: Not a batch stack (``core.ops`` dispatches leaf products on this).
+    batch = None
 
     def __post_init__(self) -> None:
-        if self.buf.ndim != 1:
-            raise ValueError("MortonMatrix buffer must be 1-D")
-        if self.buf.size != self.size:
-            raise ValueError(
-                f"buffer has {self.buf.size} elements; tiling "
-                f"({self.tile_r}x{self.tile_c}, depth {self.depth}) needs {self.size}"
-            )
+        self._check(1)
         if not (0 < self.rows <= self.padded_rows):
             raise ValueError(f"rows={self.rows} not in (0, {self.padded_rows}]")
         if not (0 < self.cols <= self.padded_cols):
@@ -205,55 +283,12 @@ class MortonMatrix:
 
     def copy(self) -> "MortonMatrix":
         """Deep copy with an owned buffer."""
-        return MortonMatrix(
-            buf=self.buf.copy(),
-            rows=self.rows,
-            cols=self.cols,
-            tile_r=self.tile_r,
-            tile_c=self.tile_c,
-            depth=self.depth,
-        )
+        return replace(self, buf=self.buf.copy())
 
     # ------------------------------------------------------------ structure
 
-    def quadrant(self, qr: int, qc: int) -> "MortonMatrix":
-        """Zero-copy view of quadrant ``(qr, qc)`` (0=N/W, 1=S/E).
-
-        Quadrants of a padded matrix are always "full": their logical size
-        equals their padded size except that the original logical boundary
-        is *not* tracked below the top level — by construction the pad holds
-        zeros and participates harmlessly in the arithmetic, so recursion
-        levels treat quadrants as dense.
-        """
-        if self.depth == 0:
-            raise ValueError("a leaf tile has no quadrants")
-        if qr not in (0, 1) or qc not in (0, 1):
-            raise ValueError(f"quadrant indices must be 0 or 1, got ({qr}, {qc})")
-        quarter = self.size // 4
-        z = (qr << 1) | qc  # NW, NE, SW, SE
-        sub = self.buf[z * quarter : (z + 1) * quarter]
-        return MortonMatrix(
-            buf=sub,
-            rows=self.padded_rows // 2,
-            cols=self.padded_cols // 2,
-            tile_r=self.tile_r,
-            tile_c=self.tile_c,
-            depth=self.depth - 1,
-        )
-
-    def quadrants(self) -> tuple["MortonMatrix", ...]:
-        """All four quadrant views in (11, 12, 21, 22) paper numbering."""
-        return (
-            self.quadrant(0, 0),
-            self.quadrant(0, 1),
-            self.quadrant(1, 0),
-            self.quadrant(1, 1),
-        )
-
-    def leaf_view(self) -> np.ndarray:
-        """2-D Fortran-order view of a leaf tile (depth must be 0)."""
-        if self.depth != 0:
-            raise ValueError(f"leaf_view requires depth 0, got {self.depth}")
+    def _make_leaf(self) -> np.ndarray:
+        """2-D Fortran-order ``(tile_r, tile_c)`` view of the leaf tile."""
         return self.buf.reshape(self.tile_c, self.tile_r).T
 
     def pad_is_zero(self) -> bool:
@@ -306,70 +341,29 @@ class MortonMatrix:
         )
 
 
-@dataclass
-class BatchMortonMatrix:
+@dataclass(frozen=True, slots=True, eq=False)
+class BatchMortonMatrix(_MortonViews):
     """A stack of same-geometry Morton matrices, one per buffer row.
 
     ``buf`` is ``(batch, padded_elems)`` with each row holding one item's
     Morton image.  Because a quadrant is a contiguous element range of every
     item, the stacked quadrant is the column slice ``buf[:, lo:hi]`` — still
     a single strided array, so the Winograd additions stay single ufunc
-    calls over the whole batch.  Duck-types the subset of
-    :class:`MortonMatrix` the recursion uses (``quadrants``, ``depth``,
-    ``size``, ``leaf_view``); ``core.ops`` dispatches leaf products on the
-    ``batch`` attribute.
+    calls over the whole batch.  Shares :class:`MortonMatrix`'s geometry,
+    ``size`` and memoised ``quadrants``/``leaf_view``; ``core.ops``
+    dispatches leaf products on the ``batch`` attribute.
     """
-
-    buf: np.ndarray  # (batch, padded_elems), rows contiguous
-    rows: int
-    cols: int
-    tile_r: int
-    tile_c: int
-    depth: int
-
-    # ---------------------------------------------------------------- shape
 
     @property
     def batch(self) -> int:
         return self.buf.shape[0]
 
     @property
-    def padded_rows(self) -> int:
-        return self.tile_r << self.depth
-
-    @property
-    def padded_cols(self) -> int:
-        return self.tile_c << self.depth
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        """Logical (unpadded) per-item shape."""
-        return (self.rows, self.cols)
-
-    @property
-    def size(self) -> int:
-        """Per-item buffer length (padded element count, cached)."""
-        return self._size
-
-    @property
     def nbytes(self) -> int:
         return self.buf.shape[0] * self.buf.shape[1] * self.buf.itemsize
 
     def __post_init__(self) -> None:
-        if self.buf.ndim != 2:
-            raise ValueError("BatchMortonMatrix buffer must be 2-D")
-        # Quadrant/leaf views and the padded size are pure functions of the
-        # (immutable) geometry; they sit on every recursion step's hot
-        # path, so memoise them per instance — batch plans reuse the same
-        # stack objects across executions.
-        self._size = self.padded_rows * self.padded_cols
-        self._quads: "tuple[BatchMortonMatrix, ...] | None" = None
-        self._leaf: np.ndarray | None = None
-        if self.buf.shape[1] != self._size:
-            raise ValueError(
-                f"buffer rows have {self.buf.shape[1]} elements; tiling "
-                f"({self.tile_r}x{self.tile_c}, depth {self.depth}) needs {self.size}"
-            )
+        self._check(2)
 
     # ------------------------------------------------------------ factories
 
@@ -399,62 +393,22 @@ class BatchMortonMatrix:
 
     # ------------------------------------------------------------ structure
 
-    def quadrant(self, qr: int, qc: int) -> "BatchMortonMatrix":
-        """Zero-copy column-slice view of quadrant ``(qr, qc)`` for every item."""
-        if self.depth == 0:
-            raise ValueError("a leaf tile has no quadrants")
-        if qr not in (0, 1) or qc not in (0, 1):
-            raise ValueError(f"quadrant indices must be 0 or 1, got ({qr}, {qc})")
-        quarter = self.size // 4
-        z = (qr << 1) | qc  # NW, NE, SW, SE
-        sub = self.buf[:, z * quarter : (z + 1) * quarter]
-        return BatchMortonMatrix(
-            buf=sub,
-            rows=self.padded_rows // 2,
-            cols=self.padded_cols // 2,
-            tile_r=self.tile_r,
-            tile_c=self.tile_c,
-            depth=self.depth - 1,
-        )
-
-    def quadrants(self) -> tuple["BatchMortonMatrix", ...]:
-        """All four stacked quadrant views in (11, 12, 21, 22) numbering.
-
-        Memoised: repeated recursions over a pooled stack reuse the same
-        view objects (and, transitively, their cached leaf views).
-        """
-        if self._quads is None:
-            self._quads = (
-                self.quadrant(0, 0),
-                self.quadrant(0, 1),
-                self.quadrant(1, 0),
-                self.quadrant(1, 1),
-            )
-        return self._quads
-
-    def leaf_view(self) -> np.ndarray:
+    def _make_leaf(self) -> np.ndarray:
         """``(batch, tile_c, tile_r)`` view: item ``i``'s slice is the
         C-order image of that item's *transposed* leaf tile (the same
         representation ``MortonMatrix.leaf_view().T`` exposes), which is
         exactly what the batched kernel's ``matmul(Bt, At)`` trick wants.
         May be a non-contiguous batch-stride view (two_temp aliasing slices
         columns out of a wider buffer); rows themselves stay contiguous.
-        Memoised per instance (every leaf product re-requests it).
         """
-        if self._leaf is not None:
-            return self._leaf
-        if self.depth != 0:
-            raise ValueError(f"leaf_view requires depth 0, got {self.depth}")
         b = self.buf
-        elems = self.tile_r * self.tile_c
-        self._leaf = as_strided(
-            b,
-            shape=(b.shape[0], self.tile_c, self.tile_r),
-            strides=(b.strides[0], self.tile_r * b.strides[1], b.strides[1]),
-        ) if b.shape[1] != elems or not b.flags.c_contiguous else b.reshape(
-            b.shape[0], self.tile_c, self.tile_r
-        )
-        return self._leaf
+        if b.shape[1] != self.tile_r * self.tile_c or not b.flags.c_contiguous:
+            return as_strided(
+                b,
+                shape=(b.shape[0], self.tile_c, self.tile_r),
+                strides=(b.strides[0], self.tile_r * b.strides[1], b.strides[1]),
+            )
+        return b.reshape(b.shape[0], self.tile_c, self.tile_r)
 
     def item(self, i: int) -> MortonMatrix:
         """Per-item :class:`MortonMatrix` view of row ``i`` (zero-copy when
@@ -474,14 +428,7 @@ class BatchMortonMatrix:
     def stripe(self, lo: int, hi: int) -> "BatchMortonMatrix":
         """Zero-copy view of batch rows ``[lo, hi)`` — the unit the
         task-schedule path hands to each worker."""
-        return BatchMortonMatrix(
-            buf=self.buf[lo:hi],
-            rows=self.rows,
-            cols=self.cols,
-            tile_r=self.tile_r,
-            tile_c=self.tile_c,
-            depth=self.depth,
-        )
+        return replace(self, buf=self.buf[lo:hi])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -28,6 +28,8 @@ it per level for whichever operand side is transposed.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 __all__ = ["TransposedView", "transposed_view", "relabel_scratch"]
@@ -40,24 +42,26 @@ class TransposedView:
     ``core.ops`` use — swapped ``rows``/``cols``/``tile_r``/``tile_c``,
     relabeled ``quadrants()``, transposed ``leaf_view()``, forwarded
     ``buf``/``size``/``depth``/``batch`` — plus the ``transposed`` marker
-    the recursion keys its per-level scratch relabeling on.
+    the recursion keys its per-level scratch relabeling on.  The relabeled
+    quadrants and the leaf view are memoised, like the base's own views.
     """
 
-    __slots__ = ("base", "_leaf")
+    __slots__ = ("base", "buf", "size", "depth", "batch", "_quads", "_leaf",
+                 "__weakref__")
 
-    #: Marker checked via ``getattr(x, "transposed", False)`` at sites
-    #: that must not pay an isinstance import.
+    #: Marker the recursion checks before relabeling scratch.
     transposed = True
 
     def __init__(self, base) -> None:
         self.base = base
+        self.buf = base.buf
+        self.size = base.size
+        self.depth = base.depth
+        self.batch = base.batch
+        self._quads = None
         self._leaf = None
 
     # ---------------------------------------------------------------- shape
-
-    @property
-    def buf(self) -> np.ndarray:
-        return self.base.buf
 
     @property
     def rows(self) -> int:
@@ -76,14 +80,6 @@ class TransposedView:
         return self.base.tile_r
 
     @property
-    def depth(self) -> int:
-        return self.base.depth
-
-    @property
-    def size(self) -> int:
-        return self.base.size
-
-    @property
     def padded_rows(self) -> int:
         return self.base.padded_cols
 
@@ -95,29 +91,23 @@ class TransposedView:
     def shape(self) -> tuple[int, int]:
         return (self.base.cols, self.base.rows)
 
-    @property
-    def batch(self):
-        """Batch size when wrapping a batch stack, else ``None`` — keeps
-        ``getattr(x, "batch", None)`` dispatch in ``core.ops`` working."""
-        return getattr(self.base, "batch", None)
-
     # ------------------------------------------------------------ structure
 
     def quadrant(self, qr: int, qc: int) -> "TransposedView":
         """Quadrant ``(qr, qc)`` of the transpose: the base's ``(qc, qr)``
         quadrant, transposed."""
-        return TransposedView(self.base.quadrant(qc, qr))
+        return transposed_view(self.base.quadrant(qc, qr))
 
     def quadrants(self) -> tuple["TransposedView", ...]:
         """(11, 12, 21, 22) of the transpose — the base's quadrants in
-        (11, 21, 12, 22) order, each transposed."""
-        q11, q12, q21, q22 = self.base.quadrants()
-        return (
-            TransposedView(q11),
-            TransposedView(q21),
-            TransposedView(q12),
-            TransposedView(q22),
-        )
+        (11, 21, 12, 22) order, each transposed (memoised)."""
+        quads = self._quads
+        if quads is None:
+            q11, q12, q21, q22 = self.base.quadrants()
+            quads = self._quads = tuple(
+                transposed_view(q) for q in (q11, q21, q12, q22)
+            )
+        return quads
 
     def leaf_view(self) -> np.ndarray:
         """The base leaf through swapped strides (no copy).
@@ -142,10 +132,18 @@ def transposed_view(mm):
     """The logical transpose of ``mm``, with no data movement.
 
     Transposing a :class:`TransposedView` unwraps it back to the base.
+    Each base keeps (weakly, so no reference cycle pins its buffer) the
+    one wrapper built for it: while the wrapper is alive, every call
+    returns it, and with it its memoised quadrant tree.
     """
-    if getattr(mm, "transposed", False):
+    if mm.transposed:
         return mm.base
-    return TransposedView(mm)
+    ref = mm._t
+    tv = ref() if ref is not None else None
+    if tv is None:
+        tv = TransposedView(mm)
+        object.__setattr__(mm, "_t", weakref.ref(tv))
+    return tv
 
 
 def relabel_scratch(mm):
@@ -157,14 +155,14 @@ def relabel_scratch(mm):
     scratch by flat ufuncs carry the operand's *native* Morton
     permutation, so the scratch must be read back the same way: as a
     native-geometry matrix (tiles swapped) seen through a transpose.
-    Same buffer, zero copies — only the descent labels change.
+    Same buffer, zero copies — only the descent labels change.  The
+    relabel is built once per scratch matrix and cached on it.
     """
-    native = type(mm)(
-        buf=mm.buf,
-        rows=mm.tile_c << mm.depth,
-        cols=mm.tile_r << mm.depth,
-        tile_r=mm.tile_c,
-        tile_c=mm.tile_r,
-        depth=mm.depth,
-    )
-    return TransposedView(native)
+    tv = mm._relabel
+    if tv is None:
+        tv = transposed_view(type(mm)(
+            mm.buf, mm.tile_c << mm.depth, mm.tile_r << mm.depth,
+            mm.tile_c, mm.tile_r, mm.depth,
+        ))
+        object.__setattr__(mm, "_relabel", tv)
+    return tv

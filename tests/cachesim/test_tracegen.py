@@ -146,6 +146,22 @@ class TestTraceOps:
         t = sink.concatenate()
         assert (t > 4096).all()
 
+    def test_buffer_placement_is_fixed(self):
+        # Every buffer sits at a fixed offset from a TRACE_ALIGN_BYTES
+        # boundary, so the simulated cache sets repeat exactly from run to
+        # run, wherever the allocator put the arrays.
+        from repro.cachesim.tracegen import TRACE_ALIGN_BYTES
+
+        plan = select_common_tiling((40, 40, 40), TileRange(4, 16))
+        traces, held = [], []
+        for i in range(3):
+            sink = TraceCollector()
+            modgemm_trace(plan, sink)
+            traces.append(sink.concatenate() % TRACE_ALIGN_BYTES)
+            held.append(np.empty(1000 + 777 * i))  # shift the heap
+        for t in traces[1:]:
+            np.testing.assert_array_equal(t, traces[0])
+
     def test_accesses_equal_sink_total(self):
         plan = select_common_tiling((100, 100, 100))
         sink = CountingSink()
