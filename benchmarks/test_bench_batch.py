@@ -8,14 +8,21 @@ Runs same-geometry batches through the three dispatch paths
   pool, where same-geometry items serialise on their shared plan's lock,
 * **loop** — a plain sequential ``session.multiply`` per item,
 
-over sizes {64, 96, 128} x batch sizes {8, 32, 128} and emits
+plus the reference **matmul** — one ``np.matmul`` per item on the same
+operands — over sizes {64, 96, 128} x batch sizes {8, 32, 128}, and emits
 ``BENCH_batch.json`` at the repo root with per-cell items/sec, GFLOP/s,
-and the batched/threaded and batched/loop speedups.
+and the batched path's speedups over threaded, loop and matmul.
+
+Each row also counts the batched leaf products of one warm stacked call
+through a counting kernel: a stacked recursion issues one per leaf site
+of the plan (``7**depth``) for the whole stack, an item-by-item one that
+many per item.
 
 Hard assertions here are limited to deterministic claims (bit-identity of
-the three paths, counter movement); the throughput guard — batched is at
-least 3x the threaded path's items/sec for batches >= 32 of 96x96 — is
-enforced by ``validate_bench_batch.py`` on the emitted JSON, in CI via
+the three paths, counter movement); the guards — one stacked recursion
+per execution, and the batched path's items/sec against per-item
+``np.matmul`` for batches >= 32 of 96x96 — are enforced by
+``validate_bench_batch.py`` on the emitted JSON, in CI via
 ``make bench-smoke``.  Set ``BENCH_BATCH_QUICK=1`` for a seconds-scale
 smoke run.
 """
@@ -31,6 +38,8 @@ import numpy as np
 import pytest
 
 from conftest import emit
+from repro.blas.kernels import leaf_matmul, leaf_matmul_batch, register_kernel
+from repro.core.truncation import DEFAULT_POLICY
 from repro.engine import GemmSession
 
 QUICK = os.environ.get("BENCH_BATCH_QUICK", "") not in ("", "0")
@@ -52,6 +61,23 @@ def report():
     yield data
     OUT_PATH.write_text(json.dumps(data, indent=2) + "\n")
     emit("BENCH_batch.json", f"wrote {OUT_PATH} ({len(data['rows'])} rows)")
+
+
+def _stack_leaf_calls(pairs) -> tuple[int, int]:
+    """Batched leaf calls and stacked executions of one warm call."""
+    calls = []
+
+    def counted(a, b, out, accumulate=False):
+        calls.append(1)
+        leaf_matmul_batch(a, b, out, accumulate=accumulate)
+
+    register_kernel("bench-count", leaf_matmul, counted, replace=True)
+    with GemmSession(kernel="bench-count") as s:
+        s.multiply_many(pairs)
+        executes = s.stats().batched_executes
+        calls.clear()
+        s.multiply_many(pairs)
+        return len(calls), s.stats().batched_executes - executes
 
 
 def _best_seconds(fn, rounds=ROUNDS):
@@ -96,6 +122,7 @@ def test_batch_dispatch_grid(rng, report, n, batch_items):
             pairs, lambda: [s.multiply(a, b) for a, b in pairs]
         )
         outs_loop = [s.multiply(a, b) for a, b in pairs]
+    secs_matmul = _measure(pairs, lambda: [np.matmul(a, b) for a, b in pairs])
 
     # The three paths are the same recursion in different dispatch
     # clothing: results must be bit-identical, not merely close.
@@ -104,6 +131,7 @@ def test_batch_dispatch_grid(rng, report, n, batch_items):
         assert np.array_equal(ob, ol)
     assert stats.batched_executes >= 1
     assert stats.batch_items >= batch_items
+    leaf_calls, stack_executes = _stack_leaf_calls(pairs)
 
     row = {
         "n": n,
@@ -111,13 +139,18 @@ def test_batch_dispatch_grid(rng, report, n, batch_items):
         "batched_items_per_sec": batch_items / secs_batched,
         "threaded_items_per_sec": batch_items / secs_threaded,
         "loop_items_per_sec": batch_items / secs_loop,
+        "matmul_items_per_sec": batch_items / secs_matmul,
         "batched_gflops": flops_per_item * batch_items / secs_batched / 1e9,
         "threaded_gflops": flops_per_item * batch_items / secs_threaded / 1e9,
         "loop_gflops": flops_per_item * batch_items / secs_loop / 1e9,
         "speedup_vs_threaded": secs_threaded / secs_batched,
         "speedup_vs_loop": secs_loop / secs_batched,
+        "speedup_vs_matmul": secs_matmul / secs_batched,
         "bit_identical": True,
         "batched_executes": stats.batched_executes,
+        "depth": DEFAULT_POLICY.plan(n, n, n)[0].depth,
+        "stack_executes": stack_executes,
+        "stack_leaf_calls": leaf_calls,
     }
     report["rows"].append(row)
     emit(
@@ -126,6 +159,8 @@ def test_batch_dispatch_grid(rng, report, n, batch_items):
         f"({row['batched_gflops']:.2f} GFLOP/s) | "
         f"threaded {row['threaded_items_per_sec']:8.0f} it/s | "
         f"loop {row['loop_items_per_sec']:8.0f} it/s | "
+        f"matmul {row['matmul_items_per_sec']:8.0f} it/s | "
         f"{row['speedup_vs_threaded']:.2f}x vs threaded, "
-        f"{row['speedup_vs_loop']:.2f}x vs loop",
+        f"{row['speedup_vs_loop']:.2f}x vs loop, "
+        f"{row['speedup_vs_matmul']:.2f}x vs matmul",
     )

@@ -35,7 +35,7 @@ import pytest
 
 from repro.core.parallel import TaskScratch, build_winograd_graph
 from repro.core.scheduler import WorkerPool
-from repro.core.truncation import TruncationPolicy
+from repro.core.truncation import DEFAULT_POLICY
 from repro.engine import GemmSession
 from repro.layout.convert import conversion_table, dense_to_morton, morton_to_dense
 from repro.layout.matrix import MortonMatrix
@@ -63,8 +63,12 @@ def _timed(fn, rounds: int) -> float:
 
 
 def _legacy_7way(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """One call of the historical parallel path: everything per-call."""
-    tm, tk, tn = TruncationPolicy.dynamic().plan(
+    """One call of the historical parallel path: everything per-call.
+
+    Planned with the session default's tiling, so its result is comparable
+    bit for bit with the sessions' results.
+    """
+    tm, tk, tn = DEFAULT_POLICY.plan(
         a.shape[0], a.shape[1], b.shape[1]
     )
     a_mm = MortonMatrix.zeros(a.shape[0], a.shape[1], tm, tk)
@@ -106,7 +110,7 @@ def report():
 @pytest.mark.parametrize("n", GEMM_SIZES)
 def test_scheduler_scaling(report, square_operands, n):
     a, b = square_operands(n)
-    depth = select_common_tiling((n, n))[0].depth
+    depth = DEFAULT_POLICY.plan(n, n, n)[0].depth
 
     with GemmSession() as seq:
         ref = seq.multiply(a, b)  # compile

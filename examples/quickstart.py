@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Quickstart: multiply two matrices with MODGEMM.
 
-Demonstrates the one-call API, what the dynamic truncation-point search
-decided behind the scenes, and the phase breakdown (conversion vs compute)
+Demonstrates the one-call API, what the paper's dynamic truncation-point
+search decides, and the phase breakdown (conversion vs compute)
 the paper's Figure 7 studies.
 
 Run:  python examples/quickstart.py
@@ -25,8 +25,10 @@ def main() -> None:
     err = np.max(np.abs(c - a @ b)) / np.max(np.abs(a @ b))
     print(f"multiplied {n} x {n}: max relative error vs numpy = {err:.2e}")
 
-    # What the planner chose (Section 3.4): tile 33, depth 4, padded 528 —
-    # instead of padding 513 all the way to 1024 as fixed T=32 would.
+    # What the paper's rule picks (Section 3.4): tile 33, depth 4, padded
+    # 528 — instead of padding 513 all the way to 1024 as fixed T=32 would.
+    # (The engine's default applies the same rule to BLAS-sized leaves:
+    # tile 257, depth 1; pass policy="dynamic" for the paper's tiling.)
     tiling = repro.select_tiling(n)
     print(
         f"dynamic truncation picked tile {tiling.tile}, depth {tiling.depth} "

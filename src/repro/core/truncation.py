@@ -1,6 +1,8 @@
 """Truncation policy: how the recursion depth and leaf tiles are chosen.
 
-Two policies reproduce the paper's comparison:
+The engine's default is :meth:`TruncationPolicy.shallow`: BLAS-sized
+leaves (16..:data:`LEAF_MAX`) under the fewest Winograd levels, at least
+one.  Two policies reproduce the paper's comparison:
 
 * :meth:`TruncationPolicy.dynamic` — the paper's contribution: pick the
   tile edge from a range (default 16..64) to minimise padding
@@ -19,7 +21,14 @@ from dataclasses import dataclass
 from ..errors import PlanError
 from ..layout.padding import TileRange, Tiling, select_common_tiling
 
-__all__ = ["TruncationPolicy", "DEFAULT_POLICY"]
+__all__ = ["TruncationPolicy", "DEFAULT_POLICY", "LEAF_MAX"]
+
+#: Largest leaf tile of the default policy.  The paper's 64 was sized for
+#: a 1998 8-16 KB L1; on a modern BLAS the engine's time over one
+#: ``np.matmul`` keeps falling with the tile up to the largest one-level
+#: tile of 1024^2 (4.1 at T=32, 1.3 at T=512; ``benchmarks/leaf_sweep.py``,
+#: EXPERIMENTS.md *BLAS-sized leaves*).
+LEAF_MAX = 512
 
 
 @dataclass(frozen=True)
@@ -43,6 +52,10 @@ class TruncationPolicy:
     #: returns these tilings without searching; otherwise the policy falls
     #: back to its dynamic range like any other dynamic policy.
     pinned: tuple[Tiling, Tiling, Tiling] | None = None
+    #: Break padding ties toward the fewest levels, at least one
+    #: (``select_common_tiling(shallow=True)``), not toward the range's
+    #: geometric-midpoint tile.
+    fewest_levels: bool = False
 
     @classmethod
     def dynamic(cls, min_tile: int = 16, max_tile: int = 64) -> "TruncationPolicy":
@@ -50,6 +63,23 @@ class TruncationPolicy:
             tile_range=TileRange(min_tile, max_tile),
             fixed_tile=None,
             label=f"dynamic[{min_tile},{max_tile}]",
+        )
+
+    @classmethod
+    def shallow(
+        cls, min_tile: int = 16, max_tile: int = LEAF_MAX
+    ) -> "TruncationPolicy":
+        """The engine default: the shallowest common depth >= 1 in range.
+
+        Minimises total padding like :meth:`dynamic`, which over a wide
+        range means the fewest levels, and keeps at least one Winograd
+        level whenever some depth >= 1 tiles into the range.
+        """
+        return cls(
+            tile_range=TileRange(min_tile, max_tile),
+            fixed_tile=None,
+            label=f"shallow[{min_tile},{max_tile}]",
+            fewest_levels=True,
         )
 
     @classmethod
@@ -121,12 +151,13 @@ class TruncationPolicy:
     def coerce(cls, value: "TruncationPolicy | int | str | None") -> "TruncationPolicy":
         """Normalise the policy argument forms every entry point accepts.
 
-        * ``None`` — the package default (dynamic 16..64);
+        * ``None`` — the package default, :data:`DEFAULT_POLICY`;
         * a :class:`TruncationPolicy` — passed through;
         * an ``int`` — a static truncation point, i.e. ``fixed(value)``
           (the spelling the baselines historically used);
-        * a ``str`` — ``"dynamic"``, ``"fixed"``, or a parameterised form
-          ``"dynamic:16,64"`` / ``"fixed:48"``.
+        * a ``str`` — ``"shallow"``, ``"dynamic"``, ``"fixed"``, or a
+          parameterised form ``"shallow:16,512"`` / ``"dynamic:16,64"`` /
+          ``"fixed:48"``.
         """
         if value is None:
             return DEFAULT_POLICY
@@ -140,11 +171,12 @@ class TruncationPolicy:
             name, _, params = value.partition(":")
             name = name.strip().lower()
             try:
-                if name == "dynamic":
+                if name in ("dynamic", "shallow"):
+                    ctor = getattr(cls, name)
                     if not params:
-                        return cls.dynamic()
+                        return ctor()
                     lo, hi = (int(p) for p in params.split(","))
-                    return cls.dynamic(lo, hi)
+                    return ctor(lo, hi)
                 if name == "fixed":
                     return cls.fixed(int(params)) if params else cls.fixed()
             except (TypeError, ValueError) as exc:
@@ -153,7 +185,8 @@ class TruncationPolicy:
                 raise PlanError(f"malformed policy string {value!r}") from None
         raise PlanError(
             f"cannot interpret {value!r} as a truncation policy; expected a "
-            "TruncationPolicy, an int truncation point, or 'dynamic'/'fixed'"
+            "TruncationPolicy, an int truncation point, or "
+            "'shallow'/'dynamic'/'fixed'"
         )
 
     def truncation_point(self) -> int:
@@ -176,7 +209,8 @@ class TruncationPolicy:
 
         Dynamic policy: minimise total padding over the common feasible
         depths (may be None for highly rectangular problems — the caller
-        then panels the operands, Section 3.5).
+        then panels the operands, Section 3.5); a shallow one breaks ties
+        toward the fewest levels, at least one.
 
         Fixed policy: every dimension pads up to ``T * 2**d`` with the
         single depth ``d`` forced by the largest dimension (a matrix no
@@ -191,7 +225,8 @@ class TruncationPolicy:
             return self.pinned
         if self.tile_range is not None:
             return select_common_tiling(
-                (m, k, n), self.tile_range, cache_bytes=self.cache_bytes
+                (m, k, n), self.tile_range, cache_bytes=self.cache_bytes,
+                shallow=self.fewest_levels,
             )
         t = self.fixed_tile
         assert t is not None
@@ -204,4 +239,4 @@ class TruncationPolicy:
         return tuple(Tiling(n=d, tile=t, depth=depth) for d in dims)  # type: ignore[return-value]
 
 
-DEFAULT_POLICY = TruncationPolicy.dynamic()
+DEFAULT_POLICY = TruncationPolicy.shallow()

@@ -47,7 +47,18 @@ __all__ = [
 ]
 
 
-def _segments(lo: int, hi: int, leaf: int, depth: int) -> list[tuple]:
+#: Most leaf rows one dense -> Morton box copies.  A box copies along the
+#: tile's rows (its contiguous axis); from a row-major operand that walks a
+#: column, and a long column at a power-of-two stride thrashes the cache:
+#: two 1024^2 operands at T=512 convert in 10-13 ms as whole tiles and in
+#: 4.5 ms in row parts of at most 112, as at T=32 (EXPERIMENTS.md,
+#: *BLAS-sized leaves*).  Morton -> dense copies keep whole rows: they
+#: write the engine's column-major results, where parts only cost.
+LEAF_COPY_MAX = 112
+
+
+def _segments(lo: int, hi: int, leaf: int, depth: int,
+              max_part: int | None = None) -> list[tuple]:
     """Split the extent ``[lo, hi)`` of one axis into Morton-aligned segments.
 
     Each segment is ``(index, start, stop, split)``: ``index`` selects it
@@ -57,14 +68,16 @@ def _segments(lo: int, hi: int, leaf: int, depth: int) -> list[tuple]:
     slice); ``[start, stop)`` is the segment on the dense axis, and
     ``split`` = ``(2,) * k + (leaf extent,)`` is the shape that dense range
     takes to line up with the indexed view.  A segment is either an
-    aligned block of ``2**k`` whole tiles or a part of one tile.
+    aligned block of ``2**k`` whole tiles or a part of one tile; a leaf
+    longer than ``max_part`` is cut into equal parts no longer than that.
     """
+    part = leaf if max_part is None else -(-leaf // -(-leaf // max_part))
     segs = []
     pos = lo
     while pos < hi:
         q, r = divmod(pos, leaf)
-        if r or hi - pos < leaf:
-            stop = min(hi, (q + 1) * leaf)
+        if r or hi - pos < leaf or part < leaf:
+            stop = min(hi, (q + 1) * leaf, pos + part)
             k, lsl = 0, slice(r, stop - q * leaf)
         else:
             whole = (hi - pos) // leaf
@@ -85,13 +98,16 @@ class ConversionTable:
 
     Describes a ``rows x cols`` logical matrix stored with ``tile_r x
     tile_c`` leaf tiles at ``depth``.  :attr:`boxes` covers the whole
-    logical matrix and :meth:`region` any rectangle of the padded one;
-    each box is ``(index, rows, cols, split)`` — the view index
-    (``Ellipsis`` first, so a leading batch axis passes through), the
-    dense row and column slices, and the shape the dense box takes to
-    match the indexed view.  Regions are computed once and cached;
-    nothing scales with the element count.  Shareable across threads
-    (a racing cache fill computes the same value twice).
+    logical matrix and :meth:`region` any rectangle of the padded one, for
+    dense -> Morton copies (leaf rows in parts of at most
+    :data:`LEAF_COPY_MAX`); :attr:`out_boxes` covers the logical matrix
+    for Morton -> dense copies, in whole leaf rows.  Each box is ``(index,
+    rows, cols, split)`` — the view index (``Ellipsis`` first, so a
+    leading batch axis passes through), the dense row and column slices,
+    and the shape the dense box takes to match the indexed view.  Regions
+    are computed once and cached; nothing scales with the element count.
+    Shareable across threads (a racing cache fill computes the same value
+    twice).
     """
 
     def __init__(self, rows: int, cols: int, tile_r: int, tile_c: int,
@@ -105,6 +121,7 @@ class ConversionTable:
             + tuple(range(1, 2 * d, 2)) + (2 * d,)
         )
         self.boxes = self.region(0, rows, 0, cols)
+        self.out_boxes = self.region(0, rows, 0, cols, max_part=None)
 
     @property
     def geometry(self) -> tuple:
@@ -115,12 +132,13 @@ class ConversionTable:
         """Flat Morton-buffer length of this geometry (pads included)."""
         return (self.tile_r << self.depth) * (self.tile_c << self.depth)
 
-    def region(self, r0: int, r1: int, c0: int, c1: int) -> tuple:
+    def region(self, r0: int, r1: int, c0: int, c1: int,
+               max_part: int | None = LEAF_COPY_MAX) -> tuple:
         """The boxes of the rectangle ``[r0, r1) x [c0, c1)`` (cached)."""
-        key = (r0, r1, c0, c1)
+        key = (r0, r1, c0, c1, max_part)
         boxes = self._regions.get(key)
         if boxes is None:
-            rsegs = _segments(r0, r1, self.tile_r, self.depth)
+            rsegs = _segments(r0, r1, self.tile_r, self.depth, max_part)
             csegs = _segments(c0, c1, self.tile_c, self.depth)
             boxes = tuple(
                 ((Ellipsis,) + ri + ci, slice(ra, rb), slice(ca, cb),
@@ -235,7 +253,7 @@ def morton_to_dense(
         raise ValueError(f"out shape {out.shape} != logical shape {m.shape}")
     table = _table_for(m, table)
     view = table.view(m.buf)
-    for idx, rs, cs, split in table.boxes:
+    for idx, rs, cs, split in table.out_boxes:
         dst = _split(out, rs, cs, split)
         if beta != 0.0:
             dst *= beta
@@ -282,7 +300,7 @@ def morton_to_dense_batch(
     blk = np.empty((n_items, m.cols, m.rows), dtype=m.buf.dtype)
     dense = blk.transpose(0, 2, 1)
     view = table.view(m.buf[:n_items])
-    for idx, rs, cs, split in table.boxes:
+    for idx, rs, cs, split in table.out_boxes:
         _split(dense, rs, cs, split)[...] = view[idx]
     return [blk[i].T for i in range(n_items)]
 

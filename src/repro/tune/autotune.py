@@ -47,7 +47,7 @@ import numpy as np
 
 from ..cachesim.rank import rank_tilings, resolve_machine
 from ..core.scheduler import Schedule
-from ..core.truncation import TruncationPolicy
+from ..core.truncation import LEAF_MAX, TruncationPolicy
 from ..layout.padding import Tiling
 from .store import PlanStore, StoredDecision
 
@@ -59,10 +59,10 @@ __all__ = [
     "enumerate_tilings",
 ]
 
-#: Widest leaf tile the ``tiles=True`` enumeration will consider; beyond
-#: this the "recursion" is mostly one big conventional product and the
-#: paper's regime does not apply.
-MAX_ENUM_TILE = 128
+#: Widest leaf tile the ``tiles=True`` enumeration will consider: the
+#: default policy's ceiling, so the search spans both the paper's 16..64
+#: tiles and the BLAS-sized leaves the engine plans by default.
+MAX_ENUM_TILE = LEAF_MAX
 
 #: Narrowest leaf tile worth considering (per-call overhead dominates
 #: below it on any host this runs on).

@@ -112,7 +112,7 @@ class TestRectangularPanels:
         a = rng.standard_normal((512, 64))
         b = rng.standard_normal((64, 512))
         t = PhaseTimings()
-        modgemm(a, b, timings=t)
+        modgemm(a, b, timings=t, policy=TruncationPolicy.dynamic())
         assert t.panels > 1
 
 

@@ -11,6 +11,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core.truncation import TruncationPolicy
 from repro.engine import GemmSession, PlanKey, Schedule, WorkerPool
 from repro.errors import PlanError
 from repro.layout.convert import conversion_table
@@ -172,7 +173,7 @@ class TestParallelStats:
     def test_counters_accumulate(self, rng):
         a = rng.standard_normal((150, 150))
         b = rng.standard_normal((150, 150))
-        with GemmSession(max_workers=2) as s:
+        with GemmSession(max_workers=2, policy=TruncationPolicy.dynamic()) as s:
             s.multiply(a, b)  # sequential: no parallel counters
             assert s.stats().parallel_executes == 0
             s.multiply(a, b, schedule="tasks:2")
@@ -189,7 +190,7 @@ class TestParallelStats:
         # with nothing per element, and repeats its result bit for bit.
         a = rng.standard_normal((513, 513))
         b = rng.standard_normal((513, 513))
-        with GemmSession() as s:
+        with GemmSession(policy=TruncationPolicy.dynamic()) as s:
             plan = s.plan(513, 513, 513)
             assert set(plan._tables) == {"a", "b", "c"}
             assert plan._tables["a"] is conversion_table(513, 513, 33, 33, 4)

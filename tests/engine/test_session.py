@@ -187,7 +187,7 @@ class TestCorrectness:
         a = rng.standard_normal((512, 64))
         b = rng.standard_normal((64, 512))
         t = PhaseTimings()
-        session.multiply(a, b, timings=t)
+        session.multiply(a, b, timings=t, policy=TruncationPolicy.dynamic())
         assert t.panels > 1
 
 
@@ -204,7 +204,7 @@ class TestCompiledPlan:
             plan.execute(rng.standard_normal((64, 64)), rng.standard_normal((64, 64)))
 
     def test_plan_freezes_tilings(self, session):
-        plan = session.plan(513, 513, 513)
+        plan = session.plan(513, 513, 513, policy=TruncationPolicy.dynamic())
         tm, tk, tn = plan.tilings
         expected = TruncationPolicy.dynamic().plan(513, 513, 513)
         assert (tm, tk, tn) == expected

@@ -194,11 +194,21 @@ class TestConversionTable:
         ((96, 96, 24, 24, 2), 1),
         ((1001, 999, 63, 63, 4), 25),
         ((513, 513, 33, 33, 4), 25),
+        # Leaf rows beyond LEAF_COPY_MAX = 112 copy in parts of <= 112.
+        ((1024, 1024, 512, 512, 1), 10),
+        ((1000, 1000, 500, 500, 1), 10),
+        ((513, 513, 257, 257, 1), 12),
+        ((100, 513, 50, 257, 1), 2),  # columns copy whole
     ])
     def test_box_counts(self, geom, boxes):
         # Each axis splits into dyadic blocks of whole tiles plus one
         # partial tile: at most (depth + 1) segments per axis.
         assert len(conversion_table(*geom).boxes) == boxes
+
+    def test_out_boxes_keep_whole_leaf_rows(self):
+        assert len(conversion_table(1024, 1024, 512, 512, 1).out_boxes) == 1
+        tab = conversion_table(513, 513, 33, 33, 4)
+        assert tab.out_boxes == tab.boxes
 
     def test_beta_epilogue_matches_two_pass(self, rng):
         a = rng.standard_normal((65, 63))

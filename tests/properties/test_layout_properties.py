@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.winograd import FUSED_PACKS_A, FUSED_PACKS_B
 from repro.layout.convert import (
+    LEAF_COPY_MAX,
     conversion_table,
     dense_to_morton,
     dense_to_morton_batch,
@@ -151,9 +152,17 @@ def _reference(opa, tr, tc, depth):
 
 @st.composite
 def geometries(draw):
-    depth = draw(st.integers(0, 5))
-    tr = draw(st.integers(1, 6 if depth < 4 else 3))
-    tc = draw(st.integers(1, 6 if depth < 4 else 3))
+    if draw(st.integers(0, 4)) == 0:
+        # Leaf rows beyond LEAF_COPY_MAX, which copy in parts.
+        depth = draw(st.integers(0, 1))
+        big = st.integers(LEAF_COPY_MAX - 2, 2 * LEAF_COPY_MAX + 3)
+        tr, tc = draw(big), draw(st.one_of(big, st.integers(1, 6)))
+        if draw(st.booleans()):
+            tr, tc = tc, tr
+    else:
+        depth = draw(st.integers(0, 5))
+        tr = draw(st.integers(1, 6 if depth < 4 else 3))
+        tc = draw(st.integers(1, 6 if depth < 4 else 3))
     rows = draw(st.integers(1, tr << depth))
     cols = draw(st.integers(1, tc << depth))
     return rows, cols, tr, tc, depth

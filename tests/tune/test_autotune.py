@@ -16,6 +16,7 @@ from repro.cachesim.rank import (
     resolve_machine,
     simulate_tilings,
 )
+from repro.core.truncation import DEFAULT_POLICY, LEAF_MAX
 from repro.engine.session import GemmSession
 from repro.layout.padding import Tiling
 from repro.tune.autotune import enumerate_tilings
@@ -101,6 +102,14 @@ class TestEnumerate:
         for cand in enumerate_tilings(513, 513, 513):
             for t in cand:
                 assert t.padded >= t.n == 513
+
+    def test_spans_paper_range_and_default_leaves(self):
+        # tiles=True reaches both the paper's 16..64 leaves and the
+        # BLAS-sized ones the default policy plans.
+        tiles = {c[0].tile for c in enumerate_tilings(1024, 1024, 1024)}
+        assert {16, 32, 64} <= tiles
+        assert DEFAULT_POLICY.plan(1024, 1024, 1024)[0].tile in tiles
+        assert max(tiles) == LEAF_MAX
 
     def test_rectangular_shapes(self):
         cands = enumerate_tilings(384, 96, 768)
