@@ -19,15 +19,14 @@ import math
 from dataclasses import dataclass
 
 from ..errors import PlanError
-from ..layout.padding import TileRange, Tiling, select_common_tiling
+from ..layout.padding import TileRange, Tiling, feasible_depths, select_common_tiling
 
 __all__ = ["TruncationPolicy", "DEFAULT_POLICY", "LEAF_MAX"]
 
-#: Largest leaf tile of the default policy.  The paper's 64 was sized for
-#: a 1998 8-16 KB L1; on a modern BLAS the engine's time over one
-#: ``np.matmul`` keeps falling with the tile up to the largest one-level
-#: tile of 1024^2 (4.1 at T=32, 1.3 at T=512; ``benchmarks/leaf_sweep.py``,
-#: EXPERIMENTS.md *BLAS-sized leaves*).
+#: Largest leaf tile of the default policy: the one-level tile of 1024^2,
+#: the largest benchmarked size.  Engine time over ``np.matmul`` falls from
+#: 4.1 at T=32 to 1.3 at T=512 and keeps falling past 512 at larger sizes
+#: (``benchmarks/leaf_sweep.py``; EXPERIMENTS.md *BLAS-sized leaves*).
 LEAF_MAX = 512
 
 
@@ -52,9 +51,9 @@ class TruncationPolicy:
     #: returns these tilings without searching; otherwise the policy falls
     #: back to its dynamic range like any other dynamic policy.
     pinned: tuple[Tiling, Tiling, Tiling] | None = None
-    #: Break padding ties toward the fewest levels, at least one
-    #: (``select_common_tiling(shallow=True)``), not toward the range's
-    #: geometric-midpoint tile.
+    #: Plan the shallowest common depth >= 1 whose tiles fit the range (the
+    #: :meth:`shallow` rule; ``cache_bytes`` does not apply), not the
+    #: paper's padding minimum with ties to the geometric-midpoint tile.
     fewest_levels: bool = False
 
     @classmethod
@@ -66,21 +65,12 @@ class TruncationPolicy:
         )
 
     @classmethod
-    def shallow(
-        cls, min_tile: int = 16, max_tile: int = LEAF_MAX
-    ) -> "TruncationPolicy":
-        """The engine default: the shallowest common depth >= 1 in range.
-
-        Minimises total padding like :meth:`dynamic`, which over a wide
-        range means the fewest levels, and keeps at least one Winograd
-        level whenever some depth >= 1 tiles into the range.
-        """
-        return cls(
-            tile_range=TileRange(min_tile, max_tile),
-            fixed_tile=None,
-            label=f"shallow[{min_tile},{max_tile}]",
-            fewest_levels=True,
-        )
+    def shallow(cls, min_tile: int = 16,
+                max_tile: int = LEAF_MAX) -> "TruncationPolicy":
+        """The engine default: the shallowest common depth >= 1 in range
+        (the least total padding, like :meth:`dynamic`, in fewest levels)."""
+        return cls(tile_range=TileRange(min_tile, max_tile), fixed_tile=None,
+                   label=f"shallow[{min_tile},{max_tile}]", fewest_levels=True)
 
     @classmethod
     def conflict_aware(
@@ -185,8 +175,7 @@ class TruncationPolicy:
                 raise PlanError(f"malformed policy string {value!r}") from None
         raise PlanError(
             f"cannot interpret {value!r} as a truncation policy; expected a "
-            "TruncationPolicy, an int truncation point, or "
-            "'shallow'/'dynamic'/'fixed'"
+            "TruncationPolicy, an int truncation point, or 'shallow'/'dynamic'/'fixed'"
         )
 
     def truncation_point(self) -> int:
@@ -209,8 +198,8 @@ class TruncationPolicy:
 
         Dynamic policy: minimise total padding over the common feasible
         depths (may be None for highly rectangular problems — the caller
-        then panels the operands, Section 3.5); a shallow one breaks ties
-        toward the fewest levels, at least one.
+        then panels the operands, Section 3.5); a shallow one takes the
+        shallowest common depth >= 1, or depth 0 when that is all there is.
 
         Fixed policy: every dimension pads up to ``T * 2**d`` with the
         single depth ``d`` forced by the largest dimension (a matrix no
@@ -223,10 +212,19 @@ class TruncationPolicy:
             t.n for t in self.pinned
         ):
             return self.pinned
+        if self.fewest_levels:
+            # Padding (-n) mod 2**d never falls as d grows, so the
+            # shallowest common depth also minimises total padding.
+            per_dim = [{t.depth: t for t in feasible_depths(d, self.tile_range)}
+                       for d in (m, k, n)]
+            common = set(per_dim[0]).intersection(*per_dim[1:])
+            if not common:
+                return None
+            depth = min(common - {0} or common)
+            return tuple(p[depth] for p in per_dim)  # type: ignore[return-value]
         if self.tile_range is not None:
             return select_common_tiling(
-                (m, k, n), self.tile_range, cache_bytes=self.cache_bytes,
-                shallow=self.fewest_levels,
+                (m, k, n), self.tile_range, cache_bytes=self.cache_bytes
             )
         t = self.fixed_tile
         assert t is not None

@@ -18,8 +18,9 @@ The logical matrix is usually smaller than the padded one.  An extent
 ``[lo, hi)`` on one axis splits into dyadic blocks of whole tiles plus
 partial leaf tiles (:func:`_segments`); a rectangle is then the product of
 its row and column segments — at most about ``(d + 1)**2`` *boxes*, each
-one strided copy.  :class:`ConversionTable` computes a geometry's boxes
-once and caches them; it holds no per-element arrays.  Every conversion —
+one strided copy (more where an aliased walk copies leaves in parts).
+:class:`ConversionTable` computes a geometry's boxes once and caches
+them; it holds no per-element arrays.  Every conversion —
 dense to Morton, Morton to dense with the ``beta`` epilogue, stacks with a
 leading batch axis, and the fused S1/S3/T1/T3 packing (a ufunc whose
 ``out=`` is a box) — runs through those boxes, so a converted element is
@@ -47,18 +48,18 @@ __all__ = [
 ]
 
 
-#: Most leaf rows one dense -> Morton box copies.  A box copies along the
-#: tile's rows (its contiguous axis); from a row-major operand that walks a
-#: column, and a long column at a power-of-two stride thrashes the cache:
-#: two 1024^2 operands at T=512 convert in 10-13 ms as whole tiles and in
-#: 4.5 ms in row parts of at most 112, as at T=32 (EXPERIMENTS.md,
-#: *BLAS-sized leaves*).  Morton -> dense copies keep whole rows: they
-#: write the engine's column-major results, where parts only cost.
-LEAF_COPY_MAX = 112
+#: Strides that are multiples of this many bytes alias: the lines they
+#: walk share one L1 set, so a box copy reusing them misses (_cut_axis).
+ALIAS_BYTES = 4096
+#: Longest leaf part a box copies along an aliased walk (EXPERIMENTS.md,
+#: *BLAS-sized leaves*: two row-major 1024^2 at T=512, 13 ms whole, 7 in parts).
+ALIASED_PART = 112
+#: Bytes of each band of rows a row-major ``beta`` epilogue stages.
+BAND_BYTES = 1 << 20
 
 
 def _segments(lo: int, hi: int, leaf: int, depth: int,
-              max_part: int | None = None) -> list[tuple]:
+              part: int | None = None) -> list[tuple]:
     """Split the extent ``[lo, hi)`` of one axis into Morton-aligned segments.
 
     Each segment is ``(index, start, stop, split)``: ``index`` selects it
@@ -69,9 +70,9 @@ def _segments(lo: int, hi: int, leaf: int, depth: int,
     ``split`` = ``(2,) * k + (leaf extent,)`` is the shape that dense range
     takes to line up with the indexed view.  A segment is either an
     aligned block of ``2**k`` whole tiles or a part of one tile; a leaf
-    longer than ``max_part`` is cut into equal parts no longer than that.
+    longer than ``part`` is cut into equal parts no longer than that.
     """
-    part = leaf if max_part is None else -(-leaf // -(-leaf // max_part))
+    part = leaf if part is None else -(-leaf // -(-leaf // part))
     segs = []
     pos = lo
     while pos < hi:
@@ -98,16 +99,14 @@ class ConversionTable:
 
     Describes a ``rows x cols`` logical matrix stored with ``tile_r x
     tile_c`` leaf tiles at ``depth``.  :attr:`boxes` covers the whole
-    logical matrix and :meth:`region` any rectangle of the padded one, for
-    dense -> Morton copies (leaf rows in parts of at most
-    :data:`LEAF_COPY_MAX`); :attr:`out_boxes` covers the logical matrix
-    for Morton -> dense copies, in whole leaf rows.  Each box is ``(index,
-    rows, cols, split)`` — the view index (``Ellipsis`` first, so a
-    leading batch axis passes through), the dense row and column slices,
-    and the shape the dense box takes to match the indexed view.  Regions
-    are computed once and cached; nothing scales with the element count.
-    Shareable across threads (a racing cache fill computes the same value
-    twice).
+    logical matrix and :meth:`region` any rectangle of the padded one,
+    optionally with one axis's leaf cut into parts (:func:`_cut_axis`);
+    each box is ``(index, rows, cols, split)`` — the view index
+    (``Ellipsis`` first, so a leading batch axis passes through), the
+    dense row and column slices, and the shape the dense box takes to
+    match the indexed view.  Regions are computed once and cached;
+    nothing scales with the element count.  Shareable across threads
+    (a racing cache fill computes the same value twice).
     """
 
     def __init__(self, rows: int, cols: int, tile_r: int, tile_c: int,
@@ -121,7 +120,6 @@ class ConversionTable:
             + tuple(range(1, 2 * d, 2)) + (2 * d,)
         )
         self.boxes = self.region(0, rows, 0, cols)
-        self.out_boxes = self.region(0, rows, 0, cols, max_part=None)
 
     @property
     def geometry(self) -> tuple:
@@ -133,13 +131,16 @@ class ConversionTable:
         return (self.tile_r << self.depth) * (self.tile_c << self.depth)
 
     def region(self, r0: int, r1: int, c0: int, c1: int,
-               max_part: int | None = LEAF_COPY_MAX) -> tuple:
-        """The boxes of the rectangle ``[r0, r1) x [c0, c1)`` (cached)."""
-        key = (r0, r1, c0, c1, max_part)
+               cut: int | None = None) -> tuple:
+        """The boxes of the rectangle ``[r0, r1) x [c0, c1)`` (cached);
+        ``cut`` = 0 or 1 copies that axis's leaf in :data:`ALIASED_PART` parts."""
+        key = (r0, r1, c0, c1, cut)
         boxes = self._regions.get(key)
         if boxes is None:
-            rsegs = _segments(r0, r1, self.tile_r, self.depth, max_part)
-            csegs = _segments(c0, c1, self.tile_c, self.depth)
+            part = (ALIASED_PART if cut == 0 else None,
+                    ALIASED_PART if cut == 1 else None)
+            rsegs = _segments(r0, r1, self.tile_r, self.depth, part[0])
+            csegs = _segments(c0, c1, self.tile_c, self.depth, part[1])
             boxes = tuple(
                 ((Ellipsis,) + ri + ci, slice(ra, rb), slice(ca, cb),
                  rs + cs)
@@ -192,8 +193,28 @@ def _table_for(mm, table: ConversionTable | None) -> ConversionTable:
     return table
 
 
-def _put(view: np.ndarray, src: np.ndarray, boxes) -> None:
-    for idx, rs, cs, split in boxes:
+def _cut_axis(dense: np.ndarray, table: ConversionTable,
+              to_morton: bool) -> int | None:
+    """The leaf axis a box copy cuts into parts, or None for whole leaves.
+
+    A copy walks its destination's contiguous axis: a Morton tile's rows,
+    or a row-major ``dense``'s columns.  Only when the source's stride
+    along that walk aliases is the walked leaf copied in parts.
+    """
+    if to_morton:
+        axis, stride = 0, abs(dense.strides[-2])
+    elif abs(dense.strides[-1]) < abs(dense.strides[-2]):
+        axis, stride = 1, table.tile_r * dense.itemsize
+    else:
+        return None
+    return axis if stride and stride % ALIAS_BYTES == 0 else None
+
+
+def _put(view: np.ndarray, src: np.ndarray, table: ConversionTable,
+         r0: int, r1: int, c0: int, c1: int) -> None:
+    """Copy ``src[r0:r1, c0:c1]`` into the Morton ``view`` of ``table``."""
+    cut = _cut_axis(src, table, to_morton=True)
+    for idx, rs, cs, split in table.region(r0, r1, c0, c1, cut):
         view[idx] = _split(src, rs, cs, split)
 
 
@@ -226,7 +247,7 @@ def dense_to_morton(
     table = _table_for(out, table)
     if zero_pad and out.size != out.rows * out.cols:
         out.buf.fill(0.0)
-    _put(table.view(out.buf), src, table.boxes)
+    _put(table.view(out.buf), src, table, 0, out.rows, 0, out.cols)
     return out
 
 
@@ -242,7 +263,8 @@ def morton_to_dense(
     ``beta`` fuses the GEMM accumulate into the conversion: each box of
     ``out`` is scaled by ``beta`` and then has the product added — the
     same two operations per element as ``out *= beta; out += dense(m)``,
-    so the result is bit-identical, but box by box while it is in cache.
+    so the result is bit-identical, but box by box while it is in cache
+    (a row-major ``out`` goes by bands of :data:`BAND_BYTES` of rows).
     Requires ``out``.
     """
     if out is None:
@@ -253,13 +275,31 @@ def morton_to_dense(
         raise ValueError(f"out shape {out.shape} != logical shape {m.shape}")
     table = _table_for(m, table)
     view = table.view(m.buf)
-    for idx, rs, cs, split in table.out_boxes:
-        dst = _split(out, rs, cs, split)
-        if beta != 0.0:
+    cut = _cut_axis(out, table, to_morton=False)
+    if beta == 0.0:
+        for idx, rs, cs, split in table.region(0, m.rows, 0, m.cols, cut):
+            _split(out, rs, cs, split)[...] = view[idx]
+    elif abs(out.strides[-1]) < abs(out.strides[-2]):
+        # Row-major out: a ufunc over a row-major box and a column-major
+        # tile runs an element-strided loop, a copy does not.  So copy each
+        # band of whole rows out of the tiles, then scale and add it over
+        # like-ordered rows: the same two operations per element.
+        h = max(1, BAND_BYTES // (m.cols * out.itemsize))
+        band = np.empty((min(h, m.rows), m.cols), dtype=out.dtype)
+        for r0 in range(0, m.rows, h):
+            r1 = min(m.rows, r0 + h)
+            tmp = band[: r1 - r0]
+            for idx, rs, cs, split in table.region(r0, r1, 0, m.cols, cut):
+                rs = slice(rs.start - r0, rs.stop - r0)
+                _split(tmp, rs, cs, split)[...] = view[idx]
+            dst = out[r0:r1]
+            dst *= beta
+            dst += tmp
+    else:
+        for idx, rs, cs, split in table.boxes:
+            dst = _split(out, rs, cs, split)
             dst *= beta
             dst += view[idx]
-        else:
-            dst[...] = view[idx]
     return out
 
 
@@ -282,7 +322,7 @@ def dense_to_morton_batch(
     shape = (out.rows, out.cols)
     for i in range(n):
         src = _operand(arrs[i], out.buf.dtype, transpose, shape)
-        _put(view[i], src, table.boxes)
+        _put(view[i], src, table, 0, out.rows, 0, out.cols)
     return out
 
 
@@ -300,7 +340,7 @@ def morton_to_dense_batch(
     blk = np.empty((n_items, m.cols, m.rows), dtype=m.buf.dtype)
     dense = blk.transpose(0, 2, 1)
     view = table.view(m.buf[:n_items])
-    for idx, rs, cs, split in table.out_boxes:
+    for idx, rs, cs, split in table.boxes:
         _split(dense, rs, cs, split)[...] = view[idx]
     return [blk[i].T for i in range(n_items)]
 
@@ -345,7 +385,7 @@ def dense_to_morton_quadrants(
             z = (qr << 1) | qc
             out.buf[z * quarter : (z + 1) * quarter] = 0.0
         r0, c0 = qr * h2, qc * w2
-        _put(view, src, table.region(r0, r0 + h, c0, c0 + w))
+        _put(view, src, table, r0, r0 + h, c0, c0 + w)
     return out
 
 

@@ -234,7 +234,6 @@ def select_common_tiling(
     dims: tuple[int, ...],
     tile_range: TileRange = TileRange(),
     cache_bytes: "int | None" = None,
-    shallow: bool = False,
 ) -> tuple[Tiling, ...] | None:
     """Choose one recursion depth shared by all dimensions of a product.
 
@@ -250,11 +249,7 @@ def select_common_tiling(
 
     The selected depth minimises the total padding across the dimensions,
     with the same tie-breaks (and the same optional conflict-awareness)
-    as :func:`select_tiling`.  ``shallow=True`` (the engine default's
-    rule) breaks padding ties toward the fewest levels instead and never
-    picks depth 0 while a depth >= 1 is common; since the padding
-    ``(-n) mod 2**d`` never falls as ``d`` grows, that is the shallowest
-    common depth >= 1.
+    as :func:`select_tiling`.
     """
     if not dims:
         raise ValueError("dims must be non-empty")
@@ -284,18 +279,18 @@ def select_common_tiling(
         common &= set(options)
     if not common:
         return None
-    if shallow and common != {0}:
-        common.discard(0)
 
     def cost(d: int):
         ts = [options[d] for options in per_dim]
         conflicts = (
             sum(_conflict_score(t, cache_bytes) for t in ts) if cache_bytes else 0.0
         )
-        pad = sum(t.pad for t in ts)
-        if shallow:
-            return (conflicts, pad, d)
-        return (conflicts, pad, sum(abs(t.tile - preferred) for t in ts), d)
+        return (
+            conflicts,
+            sum(t.pad for t in ts),
+            sum(abs(t.tile - preferred) for t in ts),
+            d,
+        )
 
     best = min(common, key=cost)
     return tuple(options[best] for options in per_dim)

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.layout import convert
 from repro.layout.convert import (
     ConversionTable,
+    _cut_axis,
     conversion_table,
     dense_to_morton,
     morton_to_dense,
 )
 from repro.layout.matrix import MortonMatrix
-from repro.layout.padding import TileRange, select_common_tiling
+from repro.layout.padding import TileRange, Tiling, select_common_tiling
 from repro.layout.tiles import iter_tiles
 
 
@@ -194,21 +196,54 @@ class TestConversionTable:
         ((96, 96, 24, 24, 2), 1),
         ((1001, 999, 63, 63, 4), 25),
         ((513, 513, 33, 33, 4), 25),
-        # Leaf rows beyond LEAF_COPY_MAX = 112 copy in parts of <= 112.
-        ((1024, 1024, 512, 512, 1), 10),
-        ((1000, 1000, 500, 500, 1), 10),
-        ((513, 513, 257, 257, 1), 12),
-        ((100, 513, 50, 257, 1), 2),  # columns copy whole
+        ((1024, 1024, 512, 512, 1), 1),
+        ((513, 513, 257, 257, 1), 4),
     ])
     def test_box_counts(self, geom, boxes):
         # Each axis splits into dyadic blocks of whole tiles plus one
         # partial tile: at most (depth + 1) segments per axis.
         assert len(conversion_table(*geom).boxes) == boxes
 
-    def test_out_boxes_keep_whole_leaf_rows(self):
-        assert len(conversion_table(1024, 1024, 512, 512, 1).out_boxes) == 1
-        tab = conversion_table(513, 513, 33, 33, 4)
-        assert tab.out_boxes == tab.boxes
+    @pytest.mark.parametrize("geom, cut, boxes", [
+        # A cut leaf goes in equal parts of <= ALIASED_PART = 112.
+        ((1024, 1024, 512, 512, 1), 0, 10),
+        ((1024, 1024, 512, 512, 1), 1, 10),
+        ((513, 513, 257, 257, 1), 0, 12),
+        ((100, 513, 50, 257, 1), 0, 2),  # leaves within a part stay whole
+        ((513, 513, 33, 33, 4), 1, 25),
+    ])
+    def test_cut_box_counts(self, geom, cut, boxes):
+        tab = conversion_table(*geom)
+        assert len(tab.region(0, geom[0], 0, geom[1], cut)) == boxes
+
+    @pytest.mark.parametrize("band_bytes", [8, 1000, 1 << 20])
+    @pytest.mark.parametrize("tile", [50, 512])  # 512 rows: cut columns
+    def test_row_major_beta_epilogue_by_bands(self, rng, monkeypatch,
+                                              band_bytes, tile):
+        monkeypatch.setattr(convert, "BAND_BYTES", band_bytes)
+        a = rng.standard_normal((tile + 37, 2 * tile - 3))
+        m = MortonMatrix.zeros(*a.shape, Tiling(a.shape[0], tile, 1),
+                               Tiling(a.shape[1], tile, 1))
+        dense_to_morton(a, m)
+        c = rng.standard_normal(a.shape)
+        expect = c * -0.5
+        expect += a
+        assert np.array_equal(morton_to_dense(m, out=c, beta=-0.5), expect)
+
+    def test_parts_only_where_the_walk_aliases(self):
+        # dense -> Morton walks the source down its rows: cut when its row
+        # stride is a multiple of ALIAS_BYTES (row-major 2**k widths).
+        t1024 = conversion_table(1024, 1024, 512, 512, 1)
+        t1000 = conversion_table(1000, 1000, 500, 500, 1)
+        c1024 = np.zeros((1024, 1024))
+        assert _cut_axis(c1024, t1024, to_morton=True) == 0
+        assert _cut_axis(c1024.T, t1024, to_morton=True) is None
+        assert _cut_axis(np.zeros((1000, 1000)), t1000, True) is None
+        # Morton -> dense walks a row-major destination across the tile's
+        # columns: cut when a tile column is a multiple of ALIAS_BYTES.
+        assert _cut_axis(c1024, t1024, to_morton=False) == 1
+        assert _cut_axis(c1024.T, t1024, to_morton=False) is None
+        assert _cut_axis(np.zeros((1000, 1000)), t1000, False) is None
 
     def test_beta_epilogue_matches_two_pass(self, rng):
         a = rng.standard_normal((65, 63))

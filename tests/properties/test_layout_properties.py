@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.winograd import FUSED_PACKS_A, FUSED_PACKS_B
 from repro.layout.convert import (
-    LEAF_COPY_MAX,
+    ALIAS_BYTES,
+    ALIASED_PART,
     conversion_table,
     dense_to_morton,
     dense_to_morton_batch,
@@ -136,6 +137,12 @@ def _source(rng, shape, layout, dtype):
         return big[::2, ::3]
     if layout == "negative":
         return np.ascontiguousarray(a[::-1, ::-1])[::-1, ::-1]
+    if layout == "aliased":
+        # Rows a multiple of ALIAS_BYTES apart, as in a 2**k-wide operand.
+        width = -(-shape[1] * a.itemsize // ALIAS_BYTES) * ALIAS_BYTES
+        big = np.zeros((shape[0], width // a.itemsize), dtype=dtype)
+        big[:, : shape[1]] = a
+        return big[:, : shape[1]]
     if layout == "readonly":
         a.setflags(write=False)
     return a
@@ -152,13 +159,19 @@ def _reference(opa, tr, tc, depth):
 
 @st.composite
 def geometries(draw):
-    if draw(st.integers(0, 4)) == 0:
-        # Leaf rows beyond LEAF_COPY_MAX, which copy in parts.
+    branch = draw(st.integers(0, 5))
+    big = st.integers(ALIASED_PART - 2, 2 * ALIASED_PART + 3)
+    if branch == 0:
+        # Leaves beyond ALIASED_PART, which aliased sources copy in parts.
         depth = draw(st.integers(0, 1))
-        big = st.integers(LEAF_COPY_MAX - 2, 2 * LEAF_COPY_MAX + 3)
         tr, tc = draw(big), draw(st.one_of(big, st.integers(1, 6)))
         if draw(st.booleans()):
             tr, tc = tc, tr
+    elif branch == 1:
+        # Tile columns a multiple of ALIAS_BYTES long (either dtype): a
+        # row-major destination reads them across, in column parts.
+        depth = 0
+        tr, tc = ALIAS_BYTES // 4, draw(st.one_of(big, st.integers(1, 6)))
     else:
         depth = draw(st.integers(0, 5))
         tr = draw(st.integers(1, 6 if depth < 4 else 3))
@@ -171,7 +184,9 @@ def geometries(draw):
 @settings(max_examples=60, deadline=None)
 @given(
     geom=geometries(),
-    layout=st.sampled_from(["C", "F", "strided", "negative", "readonly"]),
+    layout=st.sampled_from(
+        ["C", "F", "strided", "negative", "readonly", "aliased"]
+    ),
     transpose=st.booleans(),
     dtype=st.sampled_from([np.float64, np.float32]),
     quads=st.sets(st.sampled_from(QUADS), min_size=1),
@@ -209,12 +224,15 @@ def test_box_conversion_matches_element_offsets(geom, layout, transpose,
     assert morton_to_dense(m, out=out, table=table) is out
     assert _bits(out) == _bits(opa)
 
-    # The beta epilogue equals the two-pass scale then add.
+    # The beta epilogue equals the two-pass scale then add, into row-major
+    # (by bands of rows) and column-major destinations.
     c = _source(rng, (rows, cols), "C", dtype)
     expect = c.copy()
     expect *= beta
     expect += opa
+    cf = np.array(c, order="F")
     assert _bits(morton_to_dense(m, out=c, beta=beta)) == _bits(expect)
+    assert _bits(morton_to_dense(m, out=cf, beta=beta)) == _bits(expect)
 
     # Batch stacks: a leading axis through the same boxes.
     b = _source(rng, shape, "F", dtype)
