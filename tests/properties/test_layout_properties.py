@@ -124,8 +124,9 @@ def _bits(x):
     return x.view(np.int32 if x.dtype == np.float32 else np.int64).tobytes()
 
 
-def _source(rng, shape, layout, dtype):
-    """A dense operand of ``shape`` with signed zeros, in one memory layout."""
+def _source(rng, shape, layout, dtype, transpose=False):
+    """A dense operand of ``shape`` with signed zeros, in one memory layout
+    (for "aliased", the one that ``op(a)`` walks down its rows)."""
     a = rng.standard_normal(shape).astype(dtype)
     a[a < -1.8] = -0.0
     a[a > 1.8] = 0.0
@@ -138,11 +139,15 @@ def _source(rng, shape, layout, dtype):
     if layout == "negative":
         return np.ascontiguousarray(a[::-1, ::-1])[::-1, ::-1]
     if layout == "aliased":
-        # Rows a multiple of ALIAS_BYTES apart, as in a 2**k-wide operand.
-        width = -(-shape[1] * a.itemsize // ALIAS_BYTES) * ALIAS_BYTES
-        big = np.zeros((shape[0], width // a.itemsize), dtype=dtype)
-        big[:, : shape[1]] = a
-        return big[:, : shape[1]]
+        # op(a)'s rows a multiple of ALIAS_BYTES apart, as in a 2**k-wide
+        # row-major operand (or its column-major transpose).
+        ax = 0 if transpose else 1
+        pad = list(shape)
+        pad[ax] = -(-shape[ax] * a.itemsize // ALIAS_BYTES) * ALIAS_BYTES
+        pad[ax] //= a.itemsize
+        big = np.zeros(pad, dtype=dtype, order="F" if transpose else "C")
+        big[: shape[0], : shape[1]] = a
+        return big[: shape[0], : shape[1]]
     if layout == "readonly":
         a.setflags(write=False)
     return a
@@ -198,7 +203,7 @@ def test_box_conversion_matches_element_offsets(geom, layout, transpose,
     rows, cols, tr, tc, depth = geom
     rng = np.random.default_rng(seed)
     shape = (cols, rows) if transpose else (rows, cols)
-    a = _source(rng, shape, layout, dtype)
+    a = _source(rng, shape, layout, dtype, transpose)
     opa = a.T if transpose else a
     ref = _reference(opa, tr, tc, depth)
     table = conversion_table(*geom)
