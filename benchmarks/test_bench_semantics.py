@@ -11,6 +11,11 @@ redesigned operation semantics cost relative to a plain ``C = A . B``:
   through the fused ``morton_to_dense(out=, beta=)`` sweep: one pass,
   guarded to < 10% wall-clock overhead over the plain multiply.
 
+At 1024 the default plan runs on strided views of the operands (no
+conversion at all, ``"strided": true``): its transposed run must convert
+nothing either, and its accumulate is the staged product's banded fold
+into C.
+
 Emits ``BENCH_semantics.json`` at the repo root; hard guards live in
 ``validate_bench_semantics.py`` (run by ``make bench-smoke`` and CI).
 Set ``BENCH_SEMANTICS_QUICK=1`` for a seconds-scale smoke run.
@@ -88,6 +93,7 @@ def test_semantics_grid(rng, report, n):
         converts_trans = _convert_count(
             s, lambda: s.multiply(a, b, trans_a=True)
         )
+        strided = s.plan(n, n, n)._strided
 
     overhead = secs_acc / secs_plain - 1.0
     extra = converts_trans - converts_plain
@@ -107,6 +113,7 @@ def test_semantics_grid(rng, report, n):
         "convert_count_plain": converts_plain,
         "convert_count_trans": converts_trans,
         "convert_extra": extra,
+        "strided": strided,
         "accumulate_overhead": overhead,
     }
     report["rows"].append(row)

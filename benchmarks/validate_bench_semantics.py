@@ -11,6 +11,8 @@ emits, or violates the operation-semantics guarantees:
 * the transpose path must add **zero** extra Morton conversions over
   the non-transposed run in every row (the quadrant-swap relabel is
   copy-free),
+* a row whose plan runs on strided views (``"strided": true``) must
+  convert nothing at all; every other row must count its conversions,
 * the beta accumulate must cost less than 10% wall-clock overhead over
   the plain multiply in every row,
 * at least one row must cover the paper's flagship size (n >= 513).
@@ -86,11 +88,20 @@ def validate(data, problems: list) -> None:
                 _number(row.get(field)) and row[field] > 0,
                 f"{where}.{field} must be a positive number", problems,
             )
+        strided = row.get("strided")
+        _check(isinstance(strided, bool), f"{where}.strided must be a bool",
+               problems)
         for field in ("convert_count_plain", "convert_count_trans"):
-            _check(
-                isinstance(row.get(field), int) and row[field] >= 1,
-                f"{where}.{field} must be a positive int", problems,
-            )
+            if strided is True:
+                _check(
+                    row.get(field) == 0,
+                    f"{where}.{field} must be 0 on a strided plan", problems,
+                )
+            else:
+                _check(
+                    isinstance(row.get(field), int) and row[field] >= 1,
+                    f"{where}.{field} must be a positive int", problems,
+                )
         _check(
             _number(row.get("accumulate_overhead")),
             f"{where}.accumulate_overhead must be a number", problems,

@@ -87,6 +87,15 @@ class GemmProblem:
                 "complex operands are not supported: casting to "
                 f"{dt} would drop the imaginary part"
             )
+        a, b = np.asarray(a), np.asarray(b)
+        for x in (a, b):
+            if x.dtype.kind == "O" or (
+                x.dtype.kind == "f" and x.dtype.itemsize > 8
+            ):
+                raise DTypeError(
+                    f"unsupported operand dtype {x.dtype}: casting to {dt} "
+                    "would silently lose precision or fail element-wise"
+                )
         a = np.asarray(a, dtype=dt)
         b = np.asarray(b, dtype=dt)
         if a.ndim != 2 or b.ndim != 2:

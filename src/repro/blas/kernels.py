@@ -143,11 +143,13 @@ def leaf_matmul(
 ) -> None:
     """BLAS-backed kernel: ``out (+)= a @ b``.
 
-    ``numpy.matmul`` with an ``out=`` argument requires a C-contiguous
-    destination; Morton leaf tiles are Fortran-order views, so we instead
-    compute ``(b.T @ a.T)`` into ``out.T`` — the same product, with the
-    transposed destination C-contiguous exactly when ``out`` is
-    F-contiguous.  Falls back to a temporary for exotic strides.
+    ``numpy.matmul`` hands ``out=`` straight to the BLAS only when its
+    rows are unit-stride; Morton leaf tiles are Fortran-order views, so we
+    instead compute ``(b.T @ a.T)`` into ``out.T`` — the same product,
+    with the transposed destination row-major exactly when ``out`` is
+    column-major.  That holds for strided column-major views too (a
+    quadrant of a dense array): the BLAS writes them through their
+    leading dimension.  Falls back to a temporary for exotic strides.
 
     The accumulate path stages the product in a per-thread grow-only
     scratch and adds it in place, so hot accumulate leaves (panelled
@@ -173,12 +175,21 @@ def leaf_matmul(
             out += a @ b
         return
     ot = out.T
-    if ot.flags.c_contiguous and same_dtype:
+    if same_dtype and blas_rows(ot):
         np.matmul(b.T, a.T, out=ot)
-    elif out.flags.c_contiguous and same_dtype:
+    elif same_dtype and blas_rows(out):
         np.matmul(a, b, out=out)
     else:
         out[...] = a @ b
+
+
+def blas_rows(x: np.ndarray) -> bool:
+    """True when ``x`` is a BLAS row-major operand: unit-stride rows at
+    least a row apart (C-contiguous, or a row-major strided view)."""
+    if x.flags.c_contiguous:
+        return True
+    s0, s1 = x.strides
+    return s1 == x.itemsize and s0 >= x.shape[1] * s1
 
 
 def blocked_matmul(

@@ -19,6 +19,7 @@ the very code being timed, not to a drifting re-implementation.
 from __future__ import annotations
 
 import threading
+from time import perf_counter
 from typing import Protocol
 
 import numpy as np
@@ -30,6 +31,7 @@ from ..blas.kernels import (
     guarded_kernel,
 )
 from ..layout.matrix import MortonMatrix
+from ..layout.strided import memory_order
 
 __all__ = ["WinogradOps", "NumpyOps", "FUSE_CHUNK_ELEMS"]
 
@@ -92,6 +94,14 @@ def _fuse_chunk(dtype: np.dtype, elems: int = FUSE_CHUNK_ELEMS) -> np.ndarray:
     if buf is None or buf.size < elems:
         buf = bufs[key] = np.empty(max(elems, FUSE_CHUNK_ELEMS), dtype=dtype)
     return buf
+
+
+def _stage(tmp: np.ndarray, rows: int, cols: int, like: np.ndarray) -> np.ndarray:
+    """A ``(rows, cols)`` chunk of ``tmp`` in ``like``'s memory order, so a
+    fused pass over a 2-D operand streams like-ordered arrays."""
+    if memory_order(like) == "F":
+        return tmp[: rows * cols].reshape(cols, rows).T
+    return tmp[: rows * cols].reshape(rows, cols)
 
 
 def _same_size(dst: MortonMatrix, *rest: MortonMatrix) -> None:
@@ -178,15 +188,16 @@ class NumpyOps:
         _same_size(dst, x, y, z)
         d, xb, yb, zb = dst.buf, x.buf, y.buf, z.buf
         if d.ndim == 2:
-            # Batched form: chunk along the element axis so every pass
-            # covers the whole batch — chunk boundaries never change the
-            # elementwise arithmetic, only its staging granularity.
+            # Batched form (or a strided 2-D view): chunk along the last
+            # axis so every pass covers all rows — chunk boundaries never
+            # change the elementwise arithmetic, only its staging
+            # granularity.
             bsz, elems = d.shape
             step = max(1, FUSE_CHUNK_ELEMS // bsz)
             tmp = _fuse_chunk(d.dtype, bsz * step)
             for i in range(0, elems, step):
                 j = min(i + step, elems)
-                t = tmp[: bsz * (j - i)].reshape(bsz, j - i)
+                t = _stage(tmp, bsz, j - i, d)
                 np.add(xb[:, i:j], yb[:, i:j], out=t)
                 np.add(t, zb[:, i:j], out=d[:, i:j])
             self.fused_adds += 1
@@ -259,7 +270,7 @@ class NumpyOps:
             tmp = _fuse_chunk(d.dtype, bsz * step)
             for i in range(0, elems, step):
                 j = min(i + step, elems)
-                t = tmp[: bsz * (j - i)].reshape(bsz, j - i)
+                t = _stage(tmp, bsz, j - i, d)
                 np.add(xb[:, i:j], yb[:, i:j], out=t)
                 np.add(t, zb[:, i:j], out=t)
                 np.multiply(t, alpha, out=d[:, i:j])
@@ -305,6 +316,21 @@ class NumpyOps:
         depth-0 recursion (the whole product is one leaf) pays this,
         deeper plans fold alpha into the final U-adds instead.
         """
+        tr = self.trace
+        if tr is None or not tr.enabled:
+            self._leaf_mult(a, b, dst, alpha)
+            return
+        t0 = perf_counter()
+        self._leaf_mult(a, b, dst, alpha)
+        seconds = perf_counter() - t0
+        batch = getattr(a, "batch", None)
+        tr.emit(
+            "leaf", label="tile" if batch is None else "stack",
+            m=int(a.tile_r), k=int(a.tile_c), n=int(b.tile_c),
+            items=int(batch or 1), seconds=seconds,
+        )
+
+    def _leaf_mult(self, a, b, dst, alpha: float) -> None:
         if getattr(a, "batch", None) is not None:
             self.batch_kernel(
                 a.leaf_view(), b.leaf_view(), dst.leaf_view(), accumulate=False

@@ -21,6 +21,13 @@ level footprint further:
 
 ``Workspace.nbytes`` reports the true allocation (aliased views counted
 once); ``total_bytes`` is kept as a backwards-compatible alias.
+
+A workspace built with ``orders=(order_a, order_b)`` holds
+:class:`~repro.layout.strided.StridedMatrix` views instead, for plans
+that run on strided views of the caller's arrays: S in ``order_a``, T in
+``order_b`` (the operands' memory orders, so every addition streams
+like-ordered arrays) and the C-shaped P/Q column-major, like a leaf
+product's destination.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..layout.matrix import BatchMortonMatrix, MortonMatrix, staggered_buffer
+from ..layout.strided import StridedMatrix
 from ..observe.validate import POISON
 
 __all__ = ["Workspace", "BatchWorkspace", "WORKSPACE_SCHEDULES"]
@@ -36,8 +44,14 @@ __all__ = ["Workspace", "BatchWorkspace", "WORKSPACE_SCHEDULES"]
 WORKSPACE_SCHEDULES = ("classic", "two_temp", "ip_overwrite")
 
 
-def _view(buf: np.ndarray, depth: int, tile_r: int, tile_c: int) -> MortonMatrix:
+def _view(
+    buf: np.ndarray, depth: int, tile_r: int, tile_c: int,
+    order: str | None = None,
+) -> "MortonMatrix | StridedMatrix":
     n = (tile_r << depth) * (tile_c << depth)
+    if order is not None:
+        shape = (tile_r << depth, tile_c << depth)
+        return StridedMatrix(buf[:n].reshape(shape, order=order), depth)
     return MortonMatrix(
         buf=buf[:n],
         rows=tile_r << depth,
@@ -68,24 +82,30 @@ class _Level:
         with_q: bool,
         schedule: str,
         dtype=np.float64,
+        orders: tuple[str, str] | None = None,
     ) -> None:
         def elems(tile_r: int, tile_c: int) -> int:
             return (tile_r << depth) * (tile_c << depth)
 
+        oa, ob, oc = (None, None, None) if orders is None else (*orders, "F")
         if schedule == "two_temp":
             x = np.empty(max(elems(*tiles_a), elems(*tiles_c)), dtype=dtype)
             y = np.empty(elems(*tiles_b), dtype=dtype)
-            self.s = _view(x, depth, *tiles_a)
-            self.t = _view(y, depth, *tiles_b)
-            self.p = _view(x, depth, *tiles_c)  # aliases s — by design
+            self.s = _view(x, depth, *tiles_a, oa)
+            self.t = _view(y, depth, *tiles_b, ob)
+            self.p = _view(x, depth, *tiles_c, oc)  # aliases s — by design
             self.q = None
             self.nbytes = x.nbytes + y.nbytes
         else:
-            self.s = _view(np.empty(elems(*tiles_a), dtype=dtype), depth, *tiles_a)
-            self.t = _view(np.empty(elems(*tiles_b), dtype=dtype), depth, *tiles_b)
-            self.p = _view(np.empty(elems(*tiles_c), dtype=dtype), depth, *tiles_c)
+            def new(tiles, order):
+                return _view(np.empty(elems(*tiles), dtype=dtype), depth,
+                             *tiles, order)
+
+            self.s = new(tiles_a, oa)
+            self.t = new(tiles_b, ob)
+            self.p = new(tiles_c, oc)
             self.q = (
-                _view(np.empty(elems(*tiles_c), dtype=dtype), depth, *tiles_c)
+                new(tiles_c, oc)
                 if with_q
                 else None
             )
@@ -102,7 +122,8 @@ class Workspace:
     matrices of a depth-``d - j`` problem).
 
     ``schedule`` selects the per-level layout (see module docstring); an
-    ``ip_overwrite`` workspace owns no levels and no bytes.
+    ``ip_overwrite`` workspace owns no levels and no bytes.  ``orders``
+    builds strided levels for unpadded plans (see module docstring).
     """
 
     def __init__(
@@ -114,6 +135,7 @@ class Workspace:
         with_q: bool = False,
         schedule: str = "classic",
         dtype=np.float64,
+        orders: tuple[str, str] | None = None,
     ) -> None:
         if schedule not in WORKSPACE_SCHEDULES:
             raise ValueError(
@@ -139,6 +161,7 @@ class Workspace:
                     with_q=with_q,
                     schedule=schedule,
                     dtype=dtype,
+                    orders=orders,
                 )
                 for d in range(depth - 1, -1, -1)
             ]

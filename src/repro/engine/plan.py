@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..blas.dgemm import GemmProblem, OpKind
-from ..blas.kernels import LeafKernel
+from ..blas.kernels import LeafKernel, blas_rows
 from ..core.modgemm import PhaseTimings
 from ..core.ops import NumpyOps
 from ..core.parallel import TaskScratch, build_winograd_graph, run_batch_stripes
@@ -51,6 +51,7 @@ from ..core.winograd import (
 from ..core.workspace import BatchWorkspace, Workspace
 from ..errors import BatchItemError, InvariantError, KernelError, PlanError, ShapeError
 from ..layout.convert import (
+    BAND_BYTES,
     conversion_table,
     dense_to_morton,
     dense_to_morton_batch,
@@ -63,6 +64,9 @@ from ..layout.convert import (
 from ..layout.matrix import BatchMortonMatrix, MortonMatrix
 from ..layout.padding import Tiling
 from ..layout.relabel import transposed_view
+from ..layout.strided import (
+    BLAS_SMALL_MNK, PAPER_TILE_MAX, StridedMatrix, memory_order,
+)
 from ..observe.validate import check_pad_zero, check_quiescent
 from .spec import GemmSpec
 
@@ -182,6 +186,39 @@ class PlanKey:
         return self.spec.np_dtype
 
 
+def _staging(key) -> np.ndarray:
+    """A column-major ``(m, n)`` staging product for :func:`_fold`.
+
+    When a column would span a multiple of 4 KiB, the leading dimension
+    grows by a cache line, so a fold into a row-major C does not read
+    every element of a row from one L1 set (at 1024² float64 the fold
+    took 12 ms with the plain layout and 3-4 ms with the padded one).
+    """
+    dt = key.np_dtype
+    ld = key.m + (64 // dt.itemsize if key.m * dt.itemsize % 4096 == 0 else 0)
+    return np.empty((ld, key.n), dt, order="F")[: key.m]
+
+
+def _fold(c: np.ndarray, d: np.ndarray, beta: float) -> None:
+    """``c = beta * c + d`` (``c = d`` when ``beta`` is 0), band by band.
+
+    Bands run along ``c``'s slow axis and cover about ``BAND_BYTES`` of
+    it, as in the Morton path's β epilogue, so each band of ``c`` is
+    scaled and then added to while it is still in cache.  Per element
+    these are the two operations of ``c *= beta; c += d``.
+    """
+    if memory_order(c) == "F":
+        c, d = c.T, d.T
+    step = max(1, BAND_BYTES // (c.shape[1] * c.itemsize))
+    for i in range(0, c.shape[0], step):
+        cb, db = c[i : i + step], d[i : i + step]
+        if beta == 0.0:
+            np.copyto(cb, db)
+        else:
+            np.multiply(cb, beta, out=cb)
+            np.add(cb, db, out=cb)
+
+
 class _ExecExtras:
     """Per-execution scheduler/conversion counters, folded into the session."""
 
@@ -237,10 +274,63 @@ class CompiledPlan:
         self._pend = None
         self._panels = None
         self._panel_plans = None
-        if self.tilings is not None:
-            self._compile_well_behaved()
-        else:
+        # Strided plans: scratch per (op(A), op(B)) memory order, and a
+        # column-major staging product for outputs the recursion cannot
+        # write directly (both pooled on first use, so a plan holds only
+        # the layouts its callers pass).
+        self._strided = self._runs_strided()
+        self._strided_ws: dict[tuple[str, str], Workspace] = {}
+        self._stage: StridedMatrix | None = None
+        if self.tilings is None:
             self._compile_panels()
+        elif not self._strided:
+            self._compile_well_behaved()
+
+    def _runs_strided(self) -> bool:
+        """Whether this plan runs on strided views of the caller's arrays.
+
+        The rule is geometric, so a tuned plan replaying a default tiling
+        through ``pinned_tiling`` runs the same way: every dimension
+        unpadded, at most one level (deeper strided recursions measured
+        slower than Morton, ``benchmarks/strided_sweep.py``), every leaf
+        tile above the paper's 16..64 range, a leaf product above the
+        BLAS's small-matrix regime, and a sequential Winograd recursion
+        that never writes its operands and packs nothing during
+        conversion.  Everything else keeps Morton.
+        """
+        key = self.key
+        tl = self.tilings
+        return (
+            tl is not None
+            and tl[0].depth <= 1
+            and all(t.padded == t.n and t.tile > PAPER_TILE_MAX for t in tl)
+            and tl[0].tile * tl[1].tile * tl[2].tile > BLAS_SMALL_MNK
+            and key.variant == "winograd"
+            and not key.schedule.parallel
+            and resolve_memory(key.memory) in ("classic", "two_temp")
+            and not getattr(self.session, "fused_pack", False)
+        )
+
+    def _strided_workspace(self, order_a: str, order_b: str) -> Workspace:
+        """The pooled scratch for operands of these memory orders."""
+        ws = self._strided_ws.get((order_a, order_b))
+        if ws is None:
+            tm, tk, tn = self.tilings
+            memory = resolve_memory(self.key.memory)
+            ws = Workspace(
+                tm.depth, tm.tile, tk.tile, tn.tile,
+                with_q=memory == "classic", schedule=memory,
+                dtype=self.key.np_dtype, orders=(order_a, order_b),
+            )
+            self._strided_ws[(order_a, order_b)] = ws
+            buffers = (2 if memory == "two_temp" else 4) * tm.depth
+            self.buffers_allocated += buffers
+            session = self.session
+            with session._lock:  # scratch allocated after compile time
+                session._buffers_allocated += buffers
+                session._track_scratch_alloc(ws.nbytes)
+        self._workspace = ws
+        return ws
 
     # ------------------------------------------------------------- compile
 
@@ -580,6 +670,11 @@ class CompiledPlan:
         Panelled parents call this on their sub-plans with everything
         defaulted (plain product, spec-free).
         """
+        if self._strided:
+            return self._strided_product(
+                a.T if transpose_a else a, b.T if transpose_b else b,
+                rec, extras, c_out,
+            )
         key = self.key
         tr = self._ops.trace
         with self._lock:
@@ -682,6 +777,59 @@ class CompiledPlan:
         rec.from_morton += t3 - t2
         return d
 
+    def _strided_product(
+        self, opa: np.ndarray, opb: np.ndarray, rec: PhaseTimings,
+        extras: "_ExecExtras | None", c_out: np.ndarray | None,
+    ) -> np.ndarray:
+        """The recursion on strided views of ``op(A)``, ``op(B)`` and C.
+
+        The product lands in ``c_out`` directly when that is column-major
+        and ``beta`` is 0; a fresh column-major array when there is no
+        ``c_out``; otherwise in the pooled column-major staging buffer,
+        folded into ``c_out`` band by band (:func:`_fold`).  Leaf
+        destinations are therefore always column-major, which keeps the
+        BLAS results bit-identical to the Morton path's.
+        """
+        key = self.key
+        tr = self._ops.trace
+        depth = self.tilings[0].depth
+        beta = key.beta if c_out is not None else 0.0
+        with self._lock:
+            if self._debug:
+                self._debug_pre()
+            fused0 = self._ops.fused_adds
+            t1 = time.perf_counter()
+            ws = self._strided_workspace(memory_order(opa), memory_order(opb))
+            if c_out is not None and beta == 0.0 and blas_rows(c_out.T):
+                target = StridedMatrix(c_out, depth)
+            elif c_out is None:
+                target = StridedMatrix(
+                    np.empty((key.m, key.n), key.np_dtype, order="F"), depth
+                )
+            else:
+                if self._stage is None:
+                    self._stage = StridedMatrix(_staging(key), depth)
+                target = self._stage
+            winograd_multiply(
+                StridedMatrix(opa, depth), StridedMatrix(opb, depth), target,
+                ops=self._ops, workspace=ws, memory=key.memory,
+                alpha=key.alpha,
+            )
+            t2 = time.perf_counter()
+            rec.compute += t2 - t1
+            d = target.buf
+            if target is self._stage:
+                _fold(c_out, d, beta)
+                d = c_out
+                if beta != 0.0 and tr is not None and tr.enabled:
+                    tr.emit("accumulate", label="c", beta=float(beta))
+                rec.from_morton += time.perf_counter() - t2
+            if extras is not None:
+                extras.fused_adds += self._ops.fused_adds - fused0
+            if self._debug:
+                self._debug_post()
+        return d
+
     # ----------------------------------------------------- debug invariants
 
     def _debug_pre(self) -> None:
@@ -765,6 +913,8 @@ class CompiledPlan:
                     seen.add(id(sub))
                     total += sub.scratch_bytes
             return total
+        if self._strided:
+            return sum(ws.nbytes for ws in self._strided_ws.values())
         if self._tscratch is not None:
             return self._tscratch.total_bytes
         if self._workspace is not None:
@@ -781,6 +931,9 @@ class CompiledPlan:
     @property
     def pooled_bytes(self) -> int:
         """Bytes held by this plan's pooled buffers and scratch."""
+        if self._strided:
+            stage = 0 if self._stage is None else self._stage.buf.base.nbytes
+            return self.scratch_bytes + stage
         total = 0
         for mm in (self._a_mm, self._b_mm, self._c_mm):
             if mm is not None:
@@ -793,7 +946,8 @@ class CompiledPlan:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         key = self.key
-        shape = "panelled" if self.tilings is None else "well-behaved"
+        shape = "panelled" if self.tilings is None else (
+            "strided" if self._strided else "well-behaved")
         sched = (
             f", tasks:{key.schedule.depth}" if key.schedule.parallel else ""
         )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.blas.dgemm import GemmProblem, OpKind, dgemm_reference
+from repro.errors import DTypeError
 
 
 class TestOpKind:
@@ -59,6 +60,24 @@ class TestGemmProblem:
     def test_non_2d_rejected(self):
         with pytest.raises(ValueError):
             GemmProblem.create(np.zeros(3), np.zeros((3, 3)))
+
+    @pytest.mark.skipif(
+        np.dtype(np.longdouble).itemsize <= 8,
+        reason="longdouble is float64 on this platform",
+    )
+    def test_longdouble_operand_refused(self, rng):
+        a = rng.standard_normal((4, 4)).astype(np.longdouble)
+        with pytest.raises(DTypeError, match="longdouble|float128"):
+            GemmProblem.create(a, np.eye(4))
+        with pytest.raises(DTypeError):
+            GemmProblem.create(np.eye(4), a, dtype=np.float32)
+
+    def test_object_operand_refused(self):
+        a = np.eye(4, dtype=object)
+        with pytest.raises(DTypeError, match="object"):
+            GemmProblem.create(a, np.eye(4))
+        with pytest.raises(DTypeError):
+            GemmProblem.create([[1.0, 2.0], [3.0, None]], np.eye(2))
 
     def test_op_views_are_views(self, rng):
         a = rng.standard_normal((3, 4))

@@ -166,7 +166,7 @@ class TestTimings:
         a = rng.standard_normal((150, 150))
         b = rng.standard_normal((150, 150))
         t = PhaseTimings()
-        modgemm(a, b, timings=t)
+        modgemm(a, b, timings=t, policy="dynamic")  # a Morton plan
         assert t.to_morton > 0 and t.compute > 0 and t.from_morton > 0
         assert 0 < t.convert_fraction < 1
         assert abs(t.total - (t.to_morton + t.compute + t.from_morton)) < 1e-12

@@ -85,17 +85,25 @@ class TestResultsAcrossSchedules:
                 assert np.array_equal(ref, got)
 
 
+def _run_each(session, plans, rng) -> None:
+    """Execute each plan once: strided plans pool scratch on first use."""
+    for plan in plans:
+        m, k, n = plan.key.m, plan.key.k, plan.key.n
+        plan.execute(rng.standard_normal((m, k)), rng.standard_normal((k, n)))
+
+
 class TestScratchAccounting:
-    def test_two_temp_plan_scratch_halved(self):
+    def test_two_temp_plan_scratch_halved(self, rng):
         with GemmSession() as s:
             classic = s.plan(256, 256, 256)
             lean = s.plan(256, 256, 256, memory="two_temp")
             ip = s.plan(256, 256, 256, memory="ip_overwrite")
+            _run_each(s, (classic, lean, ip), rng)
             assert classic.scratch_bytes > 0
             assert lean.scratch_bytes * 2 == classic.scratch_bytes
             assert ip.scratch_bytes == 0
 
-    def test_scratch_bytes_closed_form(self):
+    def test_scratch_bytes_closed_form(self, rng):
         # Geometric series over levels: at child depth d the quarter
         # buffers hold (tile << d)^2 elements per operand shape.
         with GemmSession() as s:
@@ -105,6 +113,7 @@ class TestScratchAccounting:
                 ("ip_overwrite", lambda e: 0),
             ):
                 plan = s.plan(256, 256, 256, memory=memory)
+                _run_each(s, (plan,), rng)
                 tm, tk, tn = plan.tilings
                 assert tm.tile == tk.tile == tn.tile  # square problem
                 expect = sum(

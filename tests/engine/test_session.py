@@ -180,7 +180,9 @@ class TestCorrectness:
         a = rng.standard_normal((150, 150))
         b = rng.standard_normal((150, 150))
         t = PhaseTimings()
-        session.multiply(a, b, timings=t)
+        # The paper's tiling keeps the Morton path and its three phases
+        # (tests/engine/test_strided.py covers conversion-free plans).
+        session.multiply(a, b, timings=t, policy="dynamic")
         assert t.to_morton > 0 and t.compute > 0 and t.from_morton > 0
 
     def test_panel_count_reported(self, rng, session):

@@ -2,6 +2,8 @@
 
 Every plan's pooled buffers grow their quadrant, leaf, transpose and
 relabel views on the first execution; later executions must reuse them.
+A strided plan wraps the caller's arrays afresh on each call, so it builds
+a fixed number of views — one per operand quadrant — and nothing more.
 Constructions are counted through the containers' initialisers, so the
 guard is deterministic (no wall clock).
 """
@@ -22,6 +24,7 @@ from repro.engine import GemmSession
 from repro.layout.matrix import BatchMortonMatrix, MortonMatrix
 from repro.layout.padding import Tiling
 from repro.layout.relabel import TransposedView, relabel_scratch, transposed_view
+from repro.layout.strided import StridedMatrix
 
 
 @pytest.fixture
@@ -32,6 +35,7 @@ def constructions(monkeypatch) -> Counter:
         (MortonMatrix, "__post_init__"),
         (BatchMortonMatrix, "__post_init__"),
         (TransposedView, "__init__"),
+        (StridedMatrix, "__post_init__"),
     ):
         def counted(self, *args, _orig=getattr(cls, name), _name=cls.__name__):
             counts[_name] += 1
@@ -82,6 +86,39 @@ def test_warm_multiply_constructs_nothing(case, constructions, rng):
     constructions.clear()
     warm = call()
     assert sum(constructions.values()) == 0, dict(constructions)
+    np.testing.assert_array_equal(warm, cold)
+
+
+#: name -> ((m, k, n), multiply options, strided views a warm call builds)
+STRIDED_CASES = {
+    # A, B and C at depth 1 and their four quadrants each.
+    "classic": ((300, 300, 300), {}, 15),
+    "two_temp": ((300, 300, 300), {"memory": "two_temp", "trans_b": True}, 15),
+    # beta stages the product in the plan's pooled (memoised) buffer.
+    "beta": ((300, 300, 300), {"beta": 0.5, "alpha": 2.0}, 10),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRIDED_CASES))
+def test_warm_strided_multiply_builds_only_operand_views(
+    case, constructions, rng
+):
+    dims, opts, views = STRIDED_CASES[case]
+    session = GemmSession()
+    assert session.plan(*dims, **opts)._strided
+    a, b, c = _operands(rng, dims, opts)
+
+    def call():
+        return session.multiply(
+            a, b, c=None if c is None else c.copy(), **opts
+        )
+
+    cold = call()
+    pooled = session.stats().bytes_pooled
+    constructions.clear()
+    warm = call()
+    assert dict(constructions) == {"StridedMatrix": views}
+    assert session.stats().bytes_pooled == pooled  # no new scratch
     np.testing.assert_array_equal(warm, cold)
 
 

@@ -154,6 +154,32 @@ class TestSessionTracing:
             assert "plan_hit" in {ev.kind for ev in s.trace.events()}
             validate_trace(s.trace.dump())
 
+    def test_leaf_products_emit_leaf_events(self, rng):
+        a = rng.standard_normal((200, 200))
+        b = rng.standard_normal((200, 200))
+        with GemmSession(trace=True) as s:
+            s.multiply(a, b)  # one Winograd level over 100^2 leaves
+            leaves = [ev for ev in s.trace.events() if ev.kind == "leaf"]
+            doc = s.trace.dump()
+        assert len(leaves) == 7
+        assert all(
+            (ev.data["m"], ev.data["k"], ev.data["n"]) == (100, 100, 100)
+            and ev.data["items"] == 1 and ev.data["seconds"] > 0
+            for ev in leaves
+        )
+        validate_trace(doc)
+
+    def test_stacked_leaf_products_emit_one_event_per_stack(self, rng):
+        pairs = [
+            (rng.standard_normal((64, 64)), rng.standard_normal((64, 64)))
+            for _ in range(4)
+        ]
+        with GemmSession(trace=True) as s:
+            s.multiply_many(pairs)  # T=32, depth 1
+            leaves = [ev for ev in s.trace.events() if ev.kind == "leaf"]
+        assert len(leaves) == 7
+        assert {(ev.label, ev.data["items"]) for ev in leaves} == {("stack", 4)}
+
     def test_eviction_emits_plan_evict(self, rng):
         with GemmSession(capacity=1, trace=True) as s:
             s.multiply(
