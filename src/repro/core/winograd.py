@@ -45,9 +45,13 @@ Three linearisations of the same equation set are provided, selected by
 All three perform the identical floating-point operations modulo
 *commuting* the operands of two additions (U4's ``U3 + P7`` vs
 ``P7 + U3``, and the staging of U2/U3), which IEEE-754 addition renders
-bit-identical — the property tests assert exact equality, not closeness.
-The low-memory schedules additionally fuse the three-operand U7 chain
-into a single :meth:`~repro.core.ops.NumpyOps.add3` pass.
+bit-identical on the same operands — the property tests assert exact
+equality, not closeness.  (The engine's ``ip_overwrite`` plans transpose
+an operand while converting it where the others relabel it; below
+OpenBLAS's small-matrix bound, ``m*k*n <= 100**3`` per leaf, the two
+orientations round apart by about 4e-14.)  The low-memory schedules
+additionally fuse the three-operand U7 chain into a single
+:meth:`~repro.core.ops.NumpyOps.add3` pass.
 """
 
 from __future__ import annotations

@@ -265,9 +265,9 @@ class BatchWorkspace:
         self._tiles = (tile_m, tile_k, tile_n)
         self._raw: list[dict] = []  # per level, outermost first
         self._views: dict[tuple[int, int], _BatchWorkspaceView] = {}
-        # Stack rows are large power-of-two-multiple allocations, so give
-        # every buffer a distinct stagger index (continuing from the
-        # caller's base) to keep their rows off common cache sets.
+        # Give every buffer a distinct stagger index (continuing from the
+        # caller's base) so sibling buffers do not alias; within each,
+        # staggered_buffer keeps the rows off common cache sets.
         def alloc(elems: int) -> np.ndarray:
             nonlocal stagger
             buf = staggered_buffer((cap, elems), dtype, stagger)
@@ -344,13 +344,9 @@ class BatchWorkspace:
 
     @property
     def nbytes(self) -> int:
-        """Bytes actually allocated (aliased two_temp views counted once)."""
-        return sum(
-            arr.nbytes
-            for raw in self._raw
-            for name, arr in raw.items()
-            if name != "_depth"
-        )
+        """Bytes actually allocated (aliased two_temp views counted once,
+        row pitch included)."""
+        return sum(arr.shape[0] * arr.strides[0] for arr in self._buffers())
 
     @property
     def total_bytes(self) -> int:

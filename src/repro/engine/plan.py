@@ -61,7 +61,7 @@ from ..layout.convert import (
     pack_morton_quarter,
     pack_morton_quarter_batch,
 )
-from ..layout.matrix import BatchMortonMatrix, MortonMatrix
+from ..layout.matrix import BatchMortonMatrix, MortonMatrix, row_pitch
 from ..layout.padding import Tiling
 from ..layout.relabel import transposed_view
 from ..layout.strided import (
@@ -78,7 +78,10 @@ __all__ = [
 #: Largest stacked-batch capacity class; bigger batches execute in chunks
 #: of this size, so one cached :class:`BatchPlan` serves any batch length
 #: while its pooled stacks stay bounded (3 operand stacks + workspace).
-BATCH_CAP_MAX = 32
+#: Small so a chunk's quadrant slabs stay in the L2 between the passes that
+#: reuse them (``benchmarks/batch_sweep.py``: 16 ran 19-25% slower at 128²,
+#: 32 ran 14-24% slower at 96²; EXPERIMENTS.md, *Cache-resident stacked*).
+BATCH_CAP_MAX = 8
 
 
 def batch_size_class(n_items: int) -> int:
@@ -189,14 +192,20 @@ class PlanKey:
 def _staging(key) -> np.ndarray:
     """A column-major ``(m, n)`` staging product for :func:`_fold`.
 
-    When a column would span a multiple of 4 KiB, the leading dimension
-    grows by a cache line, so a fold into a row-major C does not read
-    every element of a row from one L1 set (at 1024² float64 the fold
-    took 12 ms with the plain layout and 3-4 ms with the padded one).
+    Columns are :func:`row_pitch` apart, so a fold into a row-major C
+    does not read every element of a row from one L1 set (at 1024²
+    float64 the fold took 12 ms with the plain layout and 3-4 ms with
+    the padded one).
     """
     dt = key.np_dtype
-    ld = key.m + (64 // dt.itemsize if key.m * dt.itemsize % 4096 == 0 else 0)
+    ld = row_pitch(key.m, dt.itemsize)
     return np.empty((ld, key.n), dt, order="F")[: key.m]
+
+
+def _quiet_fp() -> np.errstate:
+    """An execution's FP state: Inf operands make the Winograd sums form
+    ``inf - inf``, which must not warn where ``np.matmul`` does not."""
+    return np.errstate(invalid="ignore", over="ignore")
 
 
 def _fold(c: np.ndarray, d: np.ndarray, beta: float) -> None:
@@ -677,7 +686,7 @@ class CompiledPlan:
             )
         key = self.key
         tr = self._ops.trace
-        with self._lock:
+        with self._lock, _quiet_fp():
             if self._debug:
                 self._debug_pre()
             fused0 = self._ops.fused_adds
@@ -794,7 +803,7 @@ class CompiledPlan:
         tr = self._ops.trace
         depth = self.tilings[0].depth
         beta = key.beta if c_out is not None else 0.0
-        with self._lock:
+        with self._lock, _quiet_fp():
             if self._debug:
                 self._debug_pre()
             fused0 = self._ops.fused_adds
@@ -1205,7 +1214,7 @@ class BatchPlan:
         transpose_a = key.trans_a and not self._relabel_a
         transpose_b = key.trans_b and not self._relabel_b
         tr = self._ops.trace
-        with self._lock:
+        with self._lock, _quiet_fp():
             if self._debug:
                 if self._poisoned:
                     check_quiescent(self._ws, "batch-workspace")

@@ -696,6 +696,7 @@ class GemmSession:
             )
         items = list(problems)
         specs = []
+        keys: dict[tuple, PlanKey] = {}
         for i, item in enumerate(items):
             try:
                 opts = dict(kwargs)
@@ -729,14 +730,22 @@ class GemmSession:
                 if p.empty:  # answered below, never planned
                     specs.append((p, None, c, None))
                     continue
-                key = self._make_key(
-                    p.m, p.k, p.n, p.op_a, p.op_b,
-                    opts.get("policy"), opts.get("kernel"),
-                    opts.get("variant"), opts.get("parallel", False),
-                    opts.get("schedule"), opts.get("memory"),
-                    opts.get("dtype"),
-                    alpha=p.alpha, beta=p.beta,
-                )
+                # Items without options of their own resolve one key per
+                # geometry (store and spec coercion once per distinct key).
+                own = isinstance(item, dict) and item.keys() - {"a", "b", "c"}
+                geo = None if own else (p.m, p.k, p.n, p.op_a, p.op_b, p.alpha, p.beta)
+                key = keys.get(geo)
+                if key is None:
+                    key = self._make_key(
+                        p.m, p.k, p.n, p.op_a, p.op_b,
+                        opts.get("policy"), opts.get("kernel"),
+                        opts.get("variant"), opts.get("parallel", False),
+                        opts.get("schedule"), opts.get("memory"),
+                        opts.get("dtype"),
+                        alpha=p.alpha, beta=p.beta,
+                    )
+                    if geo is not None:
+                        keys[geo] = key
                 specs.append((p, key, c, opts.get("timings")))
             except Exception as exc:
                 raise BatchItemError(i, exc) from exc

@@ -28,7 +28,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .padding import TileRange, Tiling, select_tiling
 
-__all__ = ["MortonMatrix", "BatchMortonMatrix", "staggered_buffer"]
+__all__ = ["MortonMatrix", "BatchMortonMatrix", "staggered_buffer", "row_pitch"]
 
 #: Base-address offset between sibling staggered allocations, in bytes:
 #: an odd multiple of the 64-byte cache line (65 lines), so that buffers
@@ -40,27 +40,40 @@ __all__ = ["MortonMatrix", "BatchMortonMatrix", "staggered_buffer"]
 #: item's A/B/C rows (and workspace rows) can alias in every cache level.
 STAGGER_BYTES = 65 * 64
 
+#: Rows whose byte length is a multiple of this many bytes start, row
+#: after row, on at most two of the 64 sets of an L1 with 4 KiB a way
+#: (32 KiB 8-way, 48 KiB 12-way): the paper's Section 4 self-interference.
+ALIAS_PITCH_BYTES = 2048
+
+
+def row_pitch(elems: int, itemsize: int) -> int:
+    """Elements between the starts of consecutive rows of ``elems``: one
+    cache line more when a row spans a multiple of
+    :data:`ALIAS_PITCH_BYTES`, so consecutive rows step through the sets."""
+    if elems * itemsize % ALIAS_PITCH_BYTES == 0:
+        return elems + 64 // itemsize
+    return elems
+
 
 def staggered_buffer(
     shape: tuple, dtype, stagger: int = 0, zeros: bool = False,
 ) -> np.ndarray:
-    """Allocate a C-contiguous array offset by ``stagger * STAGGER_BYTES``.
+    """Allocate a ``(rows, cols)`` stack offset by ``stagger * STAGGER_BYTES``.
 
     The returned array is a view into a slightly larger allocation (kept
     alive through ``.base``) whose start is shifted by the stagger index —
     give sibling buffers distinct indices and their base addresses can
     never be mutually cache-set-congruent, whatever the allocator does.
-    ``stagger=0`` is a plain allocation.
+    Rows are :func:`row_pitch` apart, so the rows of one stack do not
+    alias each other either; each row stays contiguous.  ``stagger=0``
+    starts at the allocator's base.
     """
     dt = np.dtype(dtype)
     offset = stagger * STAGGER_BYTES // dt.itemsize
-    if offset == 0:
-        return (np.zeros if zeros else np.empty)(shape, dtype=dt)
-    n = 1
-    for dim in shape:
-        n *= dim
-    raw = (np.zeros if zeros else np.empty)(n + offset, dtype=dt)
-    return raw[offset : offset + n].reshape(shape)
+    rows, cols = shape
+    pitch = row_pitch(cols, dt.itemsize)
+    raw = (np.zeros if zeros else np.empty)(offset + rows * pitch, dtype=dt)
+    return raw[offset:].reshape(rows, pitch)[:, :cols]
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -360,7 +373,8 @@ class BatchMortonMatrix(_MortonViews):
 
     @property
     def nbytes(self) -> int:
-        return self.buf.shape[0] * self.buf.shape[1] * self.buf.itemsize
+        """Bytes the stack's rows span, row pitch included."""
+        return self.buf.shape[0] * self.buf.strides[0]
 
     def __post_init__(self) -> None:
         self._check(2)

@@ -20,7 +20,8 @@ from repro.engine import (
     GemmSession,
     batch_size_class,
 )
-from repro.errors import PlanError
+from repro.errors import PlanError, ShapeError
+from repro.layout.matrix import ALIAS_PITCH_BYTES
 
 from ..conftest import assert_gemm_close
 
@@ -48,12 +49,8 @@ def _reference_outputs(pairs, **kwargs):
 
 class TestBatchSizeClass:
     def test_powers_of_two(self):
-        assert batch_size_class(1) == 1
-        assert batch_size_class(2) == 2
-        assert batch_size_class(3) == 4
-        assert batch_size_class(7) == 8
-        assert batch_size_class(8) == 8
-        assert batch_size_class(9) == 16
+        for n_items, cls in ((1, 1), (2, 2), (3, 4), (7, 8), (8, 8), (9, 16)):
+            assert batch_size_class(n_items) == min(cls, BATCH_CAP_MAX)
 
     def test_capped(self):
         assert batch_size_class(BATCH_CAP_MAX) == BATCH_CAP_MAX
@@ -325,7 +322,8 @@ class TestExecutionFailureIndex:
             with pytest.raises(BatchItemError) as excinfo:
                 s.multiply_many(items, beta=1.0, batch=batch)
             if batch == "auto":
-                assert s.stats().batched_executes == 1
+                chunks = -(-count // BATCH_CAP_MAX)
+                assert s.stats().batched_executes == chunks
         assert excinfo.value.index == poison_at
         assert isinstance(excinfo.value.__cause__, ValueError)
 
@@ -537,3 +535,86 @@ class TestBatchStats:
     def test_repr_mentions_batches(self, rng, session):
         session.multiply_many(_pairs(rng, 64, 2))
         assert "batched=1" in repr(session)
+
+
+class TestCacheResidentStacks:
+    """Stack rows sit off 2 KiB multiples; chunks and key memo are exact."""
+
+    @pytest.mark.parametrize("n", [48, 64, 96])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("memory", ["classic", "two_temp"])
+    def test_stack_rows_off_alias_pitch(self, session, n, dtype, memory):
+        key = session._make_key(
+            n, n, n, "n", "n", None, None, None, False, None, memory, dtype,
+        )
+        bp = BatchPlan(key, 4, session)
+        stacks = [bp._a.buf, bp._b.buf, bp._c.buf, *bp._ws._buffers()]
+        for buf in stacks:
+            row = buf.shape[1] * buf.itemsize
+            assert buf.strides[0] % ALIAS_PITCH_BYTES != 0
+            assert buf.strides[0] - row in (0, 64)  # at most one line
+            assert buf.strides[1] == buf.itemsize  # rows stay contiguous
+        assert bp.pooled_bytes == sum(b.shape[0] * b.strides[0] for b in stacks)
+        # Every view addresses its own row: item(), stripe() and leaves.
+        a = bp._a
+        for i in range(a.batch):
+            a.item(i).buf[:] = i
+        assert [int(a.buf[i].min()) for i in range(a.batch)] == [0, 1, 2, 3]
+        stripe = a.stripe(1, 3)
+        assert stripe.item(0).buf[0] == 1 and stripe.item(1).buf[-1] == 2
+        leaf = stripe.quadrants()[3].leaf_view()
+        assert leaf.shape == (2, a.tile_c, a.tile_r)
+        assert (leaf[0] == 1).all() and (leaf[1] == 2).all()
+        a.buf[...] = 0.0
+
+    @pytest.mark.parametrize(
+        "n,opts",
+        [(99, {}), (96, {"trans_a": True}),
+         (64, {"trans_b": True, "dtype": np.float32})],
+        ids=["padded", "trans_a", "float32"],
+    )
+    def test_chunks_bit_identical_to_per_item(self, rng, n, opts):
+        count = 2 * BATCH_CAP_MAX + 3
+        pairs = _pairs(rng, n, count, opts.get("dtype", np.float64))
+        refs = _reference_outputs(pairs, **opts)
+        with GemmSession() as s:
+            padded = s.plan(n, n, n, **opts).tilings[0].padded
+            assert (padded > n) == (n == 99)
+            outs = s.multiply_many(pairs, **opts)
+            assert s.stats().batched_executes == 3
+        for out, ref in zip(outs, refs):
+            assert out.dtype == ref.dtype
+            assert np.array_equal(out, ref)
+
+    def test_mixed_items_resolve_each_key_once(self, rng, tmp_path):
+        """Two interleaved geometries, dict overrides, one bad shape."""
+        p64, p96 = _pairs(rng, 64, 4), _pairs(rng, 96, 4)
+        items = [p for pair in zip(p64, p96) for p in pair]
+        items += [
+            {"a": p64[0][0], "b": p64[1][1], "alpha": 2.0},
+            {"a": p96[0][0], "b": p96[1][1], "dtype": np.float32},
+            {"a": p64[2][0], "b": p64[3][1], "alpha": 2.0},
+            {"a": p96[2][0], "b": p96[3][1], "dtype": np.float32},
+        ]
+        with GemmSession() as ref:
+            refs = [
+                ref.multiply(**it) if isinstance(it, dict) else ref.multiply(*it)
+                for it in items
+            ]
+        with GemmSession(plan_store=tmp_path / "store.json") as s:
+            outs = s.multiply_many(items)
+            st = s.stats()
+        for out, r in zip(outs, refs):
+            assert out.dtype == r.dtype
+            assert np.array_equal(out, r)
+        # One BatchPlan per distinct key (all groups fit one chunk);
+        # the tuple geometries consult the store once each, the dict
+        # items with overrides once per item.
+        assert st.plan_misses == 4 and st.batched_executes == 4
+        assert st.store_misses == 2 + 4 and st.store_hits == 0
+        bad = 5
+        items.insert(bad, (p64[0][0], rng.standard_normal((48, 64))))
+        with GemmSession() as s, pytest.raises(BatchItemError) as excinfo:
+            s.multiply_many(items)
+        assert excinfo.value.index == bad
+        assert isinstance(excinfo.value.__cause__, ShapeError)

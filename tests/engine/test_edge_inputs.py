@@ -1,8 +1,10 @@
-"""Zero-dimension GEMMs and complex operands at the public entry points.
+"""Zero-dimension GEMMs, complex and non-finite operands at the public
+entry points.
 
 A zero ``m``, ``k`` or ``n`` returns what ``np.matmul`` (and BLAS) give
 without compiling a plan; complex A, B or C raise ``DTypeError`` instead
-of silently dropping the imaginary part.
+of silently dropping the imaginary part; an Inf in an operand raises no
+floating-point warning, as with ``np.matmul``.
 """
 
 from __future__ import annotations
@@ -131,3 +133,25 @@ class TestComplexOperands:
         assert issubclass(DTypeError, ReproError)
         assert issubclass(DTypeError, ValueError)
         assert repro.DTypeError is DTypeError
+
+
+# 200^2 runs the Morton path (T=100), 256^2 a strided plan; both stack
+# in multiply_many.
+@pytest.mark.parametrize("n", [200, 256])
+def test_inf_operand_raises_no_warning(rng, n):
+    a = rng.standard_normal((n, n))
+    a[3, 5] = np.inf
+    b = rng.standard_normal((n, n))
+    session = GemmSession()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ref = np.matmul(a, b)
+        out = session.multiply(a, b)
+        outs = session.multiply_many([(a, b), (a, b)])
+    assert session.stats().batched_executes == 1
+    # The non-finite pattern itself still differs from BLAS's (the
+    # Winograd sums spread the Inf into a second block of rows).
+    assert not np.isfinite(ref[3]).any()
+    assert not np.isfinite(out[3]).any()
+    for got in outs:
+        np.testing.assert_array_equal(got, out)

@@ -5,6 +5,9 @@ import pytest
 
 from repro.engine import GemmSession, MEMORY_SCHEDULES
 from repro.errors import PlanError
+from repro.layout.strided import BLAS_SMALL_MNK
+
+from ..conftest import assert_gemm_close
 
 
 def square(rng, n):
@@ -55,6 +58,21 @@ class TestResultsAcrossSchedules:
             ref = s.multiply(a, b)
             got = s.multiply(a, b, memory=memory)
             assert np.array_equal(ref, got)
+
+    @pytest.mark.parametrize("n", [130, 200, 256])
+    def test_transposed_ip_overwrite(self, rng, n):
+        """A transposed ``ip_overwrite`` plan converts the operand
+        transposed where the others relabel it: bit-identical once each
+        leaf product is above OpenBLAS's small-matrix bound, and within
+        rounding below it, where the two orientations round apart."""
+        a, b = square(rng, n)
+        with GemmSession() as s:
+            ref = s.multiply(a, b, trans_a=True)
+            got = s.multiply(a, b, trans_a=True, memory="ip_overwrite")
+            tm, tk, tn = s.plan(n, n, n, trans_a=True).tilings
+        assert_gemm_close(got, ref, tol=1e-13)
+        if tm.tile * tk.tile * tn.tile > BLAS_SMALL_MNK:
+            assert np.array_equal(got, ref)
 
     def test_dense_operands_survive_ip(self, rng):
         # ip_overwrite clobbers the plan's internal Morton copies only.
